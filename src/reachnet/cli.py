@@ -26,12 +26,7 @@ from .constructors import (
     waksman_permutation_network,
 )
 from .core import LazyNetwork, Network, parse_network, render_network
-from .errors import (
-    BudgetExceededError,
-    CapExhaustedError,
-    ParseError,
-    RetriesExceededError,
-)
+from .errors import BudgetExceededError, CapExhaustedError, RetriesExceededError
 from .search import SearchSpec, min_length
 from .verify import DEFAULT_BUDGET, verify_reachability, verify_uniformity
 
@@ -223,10 +218,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.raw_argv = raw
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError and ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceededError, CapExhaustedError, RetriesExceededError) as exc:

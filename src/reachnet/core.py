@@ -232,16 +232,24 @@ def render_network(net: AnyNetwork, comments: Sequence[str] = ()) -> str:
 
 
 def parse_network(text: str) -> AnyNetwork:
-    """Parse the text format back into a Network or LazyNetwork."""
+    """Parse the text format back into a Network or LazyNetwork.
+
+    Numbers are ASCII digits only and probabilities ``<num>/<den>``; signs,
+    ``_`` separators, decimals and exponents are rejected, not guessed at.
+    """
+
+    def fail(lineno: int, msg: str) -> ParseError:
+        return ParseError(f"line {lineno}: {msg}")
+
     items: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        # with ASCII lines, str.isdigit() below accepts exactly 0-9
+        if not line.isascii():
+            raise fail(lineno, f"non-ASCII characters outside a comment: {line!r}")
         items.append((lineno, line.split()))
-
-    def fail(lineno: int, msg: str) -> ParseError:
-        return ParseError(f"line {lineno}: {msg}")
 
     if not items:
         raise ParseError("empty input")
@@ -257,10 +265,9 @@ def parse_network(text: str) -> AnyNetwork:
         raise ParseError("missing 'n <n>' line") from None
     if len(tok) != 2 or tok[0] != "n":
         raise fail(lineno, f"expected 'n <n>', got {' '.join(tok)!r}")
-    try:
-        n = int(tok[1])
-    except ValueError:
-        raise fail(lineno, f"bad ground-set size {tok[1]!r}") from None
+    if not tok[1].isdigit():
+        raise fail(lineno, f"bad ground-set size {tok[1]!r}")
+    n = int(tok[1])
 
     try:
         lineno, tok = next(it)
@@ -275,12 +282,16 @@ def parse_network(text: str) -> AnyNetwork:
     for lineno, tok in it:
         try:
             if lazy:
-                if len(tok) != 3:
-                    raise fail(lineno, "lazy entries need '<a> <b> <num>/<den>'")
-                lazy_seq.append(LazyTransposition(int(tok[0]), int(tok[1]), Fraction(tok[2])))
+                num, slash, den = tok[-1].partition("/")
+                if not (len(tok) == 3 and tok[0].isdigit() and tok[1].isdigit()
+                        and slash and num.isdigit() and den.isdigit()):
+                    raise fail(lineno, "lazy entries need '<a> <b> <num>/<den>', "
+                               f"got {' '.join(tok)!r}")
+                p = Fraction(int(num), int(den))
+                lazy_seq.append(LazyTransposition(int(tok[0]), int(tok[1]), p))
             else:
-                if len(tok) != 2:
-                    raise fail(lineno, "plain entries need '<a> <b>'")
+                if not (len(tok) == 2 and tok[0].isdigit() and tok[1].isdigit()):
+                    raise fail(lineno, f"plain entries need '<a> <b>', got {' '.join(tok)!r}")
                 plain_seq.append(Transposition(int(tok[0]), int(tok[1])))
         except (ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, ParseError):

@@ -10,6 +10,12 @@ step can be dropped without changing later frontiers).  A witness found
 at level L during iterative deepening is therefore minimal once all
 smaller levels are exhausted.
 
+A frontier is one integer with a bit per tuple code, and a memo of failed
+frontiers (kept across deepening levels) skips subtrees already exhausted
+at the same or a larger remaining length; see ``_Searcher``.  Neither
+changes a minimum or a witness.  ``nodes_explored`` counts expanded
+candidates, so the memo only lowers it.
+
 ``exists_network`` succeeds as soon as the frontier completes, so a
 returned witness may be shorter than the requested length; ``None`` means
 no network of length <= ``length`` exists at all.
@@ -68,45 +74,66 @@ class SearchResult:
         )
 
 
-def _apply_table(n: int, t: int, a: int, b: int) -> list[int]:
-    """code -> code map of the transposition over the n^t code space."""
-    size = n**t
-    tab = list(range(size))
-    da, db = a - 1, b - 1
-    for code in range(size):
-        c = code
-        out = 0
-        w = 1
-        for _ in range(t):
-            c, d = divmod(c, n)
-            if d == da:
-                d = db
-            elif d == db:
-                d = da
-            out += d * w
-            w *= n
-        tab[code] = out
-    return tab
+# Entry cap of the failed-frontier memo.  At the cap the search goes on
+# without storing more entries, so the cap bounds memory and never changes
+# an answer.
+_MEMO_CAP = 1 << 18
+
+# (keep, ma, mb, shift) per coordinate, as built by _swap_masks.
+SwapMasks = tuple[tuple[int, int, int, int], ...]
+
+
+def _swap_masks(n: int, k: int, a: int, b: int) -> SwapMasks:
+    """Bit-parallel image of (a, b) on frontiers over the n^k code space.
+
+    Bit c of a frontier stands for the tuple with code c.  Along the
+    coordinate of weight w = n^j, codes with digit a-1 move up by (b-a)w,
+    codes with digit b-1 move down by as much, and the rest (``keep``)
+    stay.  Each digit mask is one block of w bits per period of nw bits,
+    made by multiplying the block with a repunit of that period.
+    """
+    full = (1 << n**k) - 1
+    out = []
+    w = 1
+    for _ in range(k):
+        repunit = full // ((1 << n * w) - 1)
+        block = (1 << w) - 1
+        ma = repunit * (block << (a - 1) * w)
+        mb = repunit * (block << (b - 1) * w)
+        out.append((full ^ ma ^ mb, ma, mb, (b - a) * w))
+        w *= n
+    return tuple(out)
 
 
 class _Searcher:
+    """Depth-first search over frontier bitmasks with a failed-state memo.
+
+    The active set is always the set of values in frontier tuples, so a
+    subtree depends only on (frontier, remaining).  ``memo`` maps a frontier
+    to the largest ``remaining`` at which its subtree was exhausted without
+    success; a failure at depth r is a failure at every depth below r, so
+    such states are skipped.  Entries are written only after a subtree is
+    exhausted: a budget error unwinds without storing the states it cut
+    short, and the memo never changes which witness is found first.  The memo lives as
+    long as the searcher, across iterative-deepening levels.
+    """
+
     def __init__(self, n: int, t: int, star_only: bool, prunes: PruneFlags, budget: int | None):
+        if t == n:
+            # an injective n-tuple is fixed by its first n-1 points: the
+            # search tree is the same over n-fold smaller masks
+            t -= 1
         self.n = n
         self.t = t
         self.star_only = star_only
         self.prunes = prunes
         self.budget = budget
         self.required = math.perm(n, t)
+        self.start = 1 << encode_tuple(start_tuple(t), n)
         self.nodes = 0
-        self.tables: dict[tuple[int, int], list[int]] = {}
+        self.memo: dict[int, int] = {}
+        self.move_lists: dict[frozenset[int], list] = {}
         self.path: list[tuple[int, int]] = []
-
-    def table(self, a: int, b: int) -> list[int]:
-        tab = self.tables.get((a, b))
-        if tab is None:
-            tab = _apply_table(self.n, self.t, a, b)
-            self.tables[(a, b)] = tab
-        return tab
 
     def candidates(self, active: frozenset[int]) -> list[tuple[int, int]]:
         """Branching order: active-active pairs, then activations, lex each."""
@@ -133,44 +160,64 @@ class _Searcher:
                     ]
         return out
 
+    def moves(self, active: frozenset[int]) -> list[tuple[int, int, SwapMasks, frozenset[int]]]:
+        """Candidates of ``active`` with their masks and next active set, cached."""
+        out = self.move_lists.get(active)
+        if out is None:
+            out = []
+            for a, b in self.candidates(active):
+                # Activation on first contact with an active position; a step
+                # joining two inactive positions activates neither.
+                if a in active:
+                    nxt_active = active if b in active else active | {b}
+                else:
+                    nxt_active = active | {a} if b in active else active
+                out.append((a, b, _swap_masks(self.n, self.t, a, b), nxt_active))
+            self.move_lists[active] = out
+        return out
+
     def run(self, length: int) -> Network | None:
-        start = frozenset([encode_tuple(start_tuple(self.t), self.n)])
-        active = frozenset(range(1, self.t + 1))
         self.path = []
-        if self._dfs(start, active, length):
+        if self._dfs(self.start, frozenset(range(1, self.t + 1)), length):
             return Network.from_pairs(self.n, self.path)
         return None
 
-    def _dfs(self, frontier: frozenset[int], active: frozenset[int], remaining: int) -> bool:
-        if len(frontier) == self.required:
+    def _dfs(self, frontier: int, active: frozenset[int], remaining: int) -> bool:
+        size = frontier.bit_count()
+        if size == self.required:
             return True
         if remaining == 0:
             return False
         if self.prunes.bounds:
-            if len(frontier) << remaining < self.required:
+            if size << remaining < self.required:
                 return False
             if self.n - len(active) > remaining:
                 return False
-        for a, b in self.candidates(active):
+        memo = self.memo
+        if memo.get(frontier, 0) >= remaining:
+            return False
+        growth = self.prunes.frontier_growth
+        budget = self.budget
+        for a, b, masks, nxt_active in self.moves(active):
             self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
+            if budget is not None and self.nodes > budget:
                 raise BudgetExceededError(
-                    f"search node budget {self.budget} exceeded (result unknown)"
+                    f"search node budget {budget} exceeded (result unknown)"
                 )
-            tab = self.table(a, b)
-            child = frontier | {tab[s] for s in frontier}
-            if self.prunes.frontier_growth and len(child) == len(frontier):
+            image = frontier
+            for keep, ma, mb, shift in masks:
+                image = (image & keep) | ((image & ma) << shift) | ((image & mb) >> shift)
+            child = frontier | image
+            if growth and child == frontier:
                 continue
-            # Activation on first contact with an active position; a step
-            # joining two inactive positions activates neither.
-            if a in active:
-                nxt_active = active if b in active else active | {b}
-            else:
-                nxt_active = active | {a} if b in active else active
             self.path.append((a, b))
             if self._dfs(child, nxt_active, remaining - 1):
                 return True
             self.path.pop()
+        # at remaining 1 a recheck costs one pass over the candidates, less
+        # than the memory an entry would take
+        if remaining > 1 and len(memo) < _MEMO_CAP:
+            memo[frontier] = remaining
         return False
 
 

@@ -4,10 +4,16 @@ These deliberately avoid the library's frontier closure and push-forward
 code: reachability is decided by enumerating all 2^l subsequences, and
 lazy distributions by enumerating all 2^l fire patterns with exact
 rational weights.  Keep them naive.
+
+``oracle_min_length`` is the search engine that the bitmask search with a
+failed-frontier memo replaced: frozenset frontiers over a per-transposition
+code table, no memo.  It is kept to pin minima, witnesses, exhausted levels
+and node counts of the library search.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from reachnet.core import (
@@ -16,8 +22,11 @@ from reachnet.core import (
     Network,
     TupleSet,
     apply_transposition,
+    encode_tuple,
     start_tuple,
 )
+from reachnet.errors import BudgetExceededError, CapExhaustedError
+from reachnet.search import PRUNE_ALL, PruneFlags, SearchResult, SearchSpec
 
 
 def naive_reach_set(net: Network, t: int) -> TupleSet:
@@ -54,3 +63,120 @@ def naive_lazy_distribution(net: LazyNetwork, t: int) -> dict[CounterTuple, Frac
 
     rec(0, start_tuple(t), Fraction(1))
     return acc
+
+
+def _apply_table(n: int, t: int, a: int, b: int) -> list[int]:
+    """code -> code map of the transposition over the n^t code space."""
+    size = n**t
+    tab = list(range(size))
+    da, db = a - 1, b - 1
+    for code in range(size):
+        c = code
+        out = 0
+        w = 1
+        for _ in range(t):
+            c, d = divmod(c, n)
+            if d == da:
+                d = db
+            elif d == db:
+                d = da
+            out += d * w
+            w *= n
+        tab[code] = out
+    return tab
+
+
+class _FrozensetSearcher:
+    def __init__(self, n: int, t: int, star_only: bool, prunes: PruneFlags, budget: int | None):
+        self.n = n
+        self.t = t
+        self.star_only = star_only
+        self.prunes = prunes
+        self.budget = budget
+        self.required = math.perm(n, t)
+        self.nodes = 0
+        self.tables: dict[tuple[int, int], list[int]] = {}
+        self.path: list[tuple[int, int]] = []
+
+    def table(self, a: int, b: int) -> list[int]:
+        tab = self.tables.get((a, b))
+        if tab is None:
+            tab = _apply_table(self.n, self.t, a, b)
+            self.tables[(a, b)] = tab
+        return tab
+
+    def candidates(self, active: frozenset[int]) -> list[tuple[int, int]]:
+        """Branching order: active-active pairs, then activations, lex each."""
+        act = sorted(active)
+        if self.star_only:
+            within = [(1, x) for x in act if x != 1]
+        else:
+            within = [(a, b) for i, a in enumerate(act) for b in act[i + 1 :]]
+        out = within
+        inactive = [v for v in range(1, self.n + 1) if v not in active]
+        if inactive:
+            if self.prunes.canonical_activation:
+                new = [inactive[0]]
+            else:
+                new = inactive
+            if self.star_only:
+                out = out + [(1, v) for v in new]
+            else:
+                out = out + sorted((min(a, v), max(a, v)) for a in act for v in new)
+                if not self.prunes.inactive_pairs:
+                    out = out + [
+                        (u, v) for i, u in enumerate(inactive) for v in inactive[i + 1 :]
+                    ]
+        return out
+
+    def run(self, length: int) -> Network | None:
+        start = frozenset([encode_tuple(start_tuple(self.t), self.n)])
+        active = frozenset(range(1, self.t + 1))
+        self.path = []
+        if self._dfs(start, active, length):
+            return Network.from_pairs(self.n, self.path)
+        return None
+
+    def _dfs(self, frontier: frozenset[int], active: frozenset[int], remaining: int) -> bool:
+        if len(frontier) == self.required:
+            return True
+        if remaining == 0:
+            return False
+        if self.prunes.bounds:
+            if len(frontier) << remaining < self.required:
+                return False
+            if self.n - len(active) > remaining:
+                return False
+        for a, b in self.candidates(active):
+            self.nodes += 1
+            if self.budget is not None and self.nodes > self.budget:
+                raise BudgetExceededError(
+                    f"search node budget {self.budget} exceeded (result unknown)"
+                )
+            tab = self.table(a, b)
+            child = frontier | {tab[s] for s in frontier}
+            if self.prunes.frontier_growth and len(child) == len(frontier):
+                continue
+            if a in active:
+                nxt_active = active if b in active else active | {b}
+            else:
+                nxt_active = active | {a} if b in active else active
+            self.path.append((a, b))
+            if self._dfs(child, nxt_active, remaining - 1):
+                return True
+            self.path.pop()
+        return False
+
+
+def oracle_min_length(spec: SearchSpec, prunes: PruneFlags = PRUNE_ALL) -> SearchResult:
+    """Iterative deepening from n-1 with the frozenset search."""
+    searcher = _FrozensetSearcher(spec.n, spec.t, spec.star_only, prunes, spec.budget)
+    exhausted: list[int] = []
+    level = max(0, spec.n - 1)
+    while spec.max_len is None or level <= spec.max_len:
+        witness = searcher.run(level)
+        if witness is not None:
+            return SearchResult(len(witness), witness, searcher.nodes, tuple(exhausted))
+        exhausted.append(level)
+        level += 1
+    raise CapExhaustedError(f"no network of length <= {spec.max_len}")

@@ -56,7 +56,7 @@ def _random_plain(rng: random.Random, n: int, length: int, star: bool) -> Networ
 
 
 def test_criterion_01_exact_minimums_general():
-    expected = {2: 1, 3: 3, 4: 4, 5: 6}
+    expected = {2: 1, 3: 3, 4: 4, 5: 6, 6: 7, 7: 9}
     failures = []
     for n, value in expected.items():
         r = min_length(SearchSpec(n, 2))
@@ -67,12 +67,12 @@ def test_criterion_01_exact_minimums_general():
         if exists_network(n, 2, value - 1) is not None:
             failures.append(f"n={n}: length {value - 1} unexpectedly feasible")
     report(1, not failures, f"min 2-reachability lengths {list(expected.values())} "
-           f"for n=2..5, each with exhaustive infeasibility at length-1"
+           f"for n=2..7, each with exhaustive infeasibility at length-1"
            + ("; " + "; ".join(failures) if failures else ""))
 
 
 def test_criterion_02_exact_minimums_star():
-    expected = {3: 3, 4: 5, 5: 6, 6: 8}
+    expected = {3: 3, 4: 5, 5: 6, 6: 8, 7: 9}
     failures = []
     for n, value in expected.items():
         r = min_length(SearchSpec(n, 2, star_only=True))
@@ -82,7 +82,7 @@ def test_criterion_02_exact_minimums_star():
             failures.append(f"n={n}: witness invalid")
         if exists_network(n, 2, value - 1, star_only=True) is not None:
             failures.append(f"n={n}: star length {value - 1} unexpectedly feasible")
-    report(2, not failures, "min star 2-reachability lengths [3, 5, 6, 8] for n=3..6"
+    report(2, not failures, "min star 2-reachability lengths [3, 5, 6, 8, 9] for n=3..7"
            + ("; " + "; ".join(failures) if failures else ""))
 
 

@@ -233,6 +233,20 @@ def test_parse_ignores_comments_and_blanks():
         "reachnet 1\nn 2\nkind plain\n1 3\n",
         "reachnet 1\nn 2\nkind lazy\n1 2 3/2\n",
         "reachnet 1\nn 2\nkind lazy\n1 2 1/0\n",
+        # numbers outside the format that int() and Fraction() would take
+        "reachnet 1\nn 1_0\nkind plain\n",
+        "reachnet 1\nn +2\nkind plain\n",
+        "reachnet 1\nn ２\nkind plain\n",
+        "reachnet 1\nn 2\nkind plain\n1 +2\n",
+        "reachnet 1\nn 2\nkind plain\n-1 2\n",
+        "reachnet 1\nn 2\nkind lazy\n1 2 0.5\n",
+        "reachnet 1\nn 2\nkind lazy\n1 2 1e-1\n",
+        "reachnet 1\nn 2\nkind lazy\n1 2 1\n",
+        "reachnet 1\nn 2\nkind lazy\n1 2 -1/2\n",
+        "reachnet 1\nn 2\nkind lazy\n1 2 1/+2\n",
+        "reachnet 1\nn 2\nkind lazy\n1 2 1/2/3\n",
+        "reachnet 1\nn 2\nkind lazy\n1 2 /2\n",
+        "reachnet 1\nn 2\nkind lazy\n1_0 2 1/2\n",
     ],
 )
 def test_parse_rejects_malformed(text):

@@ -1,5 +1,7 @@
 import pytest
 
+from _oracles import oracle_min_length
+from reachnet import search
 from reachnet import (
     BudgetExceededError,
     CapExhaustedError,
@@ -117,3 +119,75 @@ def test_witness_can_be_shorter_than_level():
 def test_start_length_above_minimum_is_corrected():
     r = min_length(SearchSpec(2, 2), start_length=3)
     assert r.min_length == 1
+
+
+# Every (n, t, star) with n <= 5, then star t=2 up to n=8.
+ORACLE_CASES = [
+    (n, t, star) for n in range(1, 6) for t in range(1, n + 1) for star in (False, True)
+] + [(n, 2, True) for n in (6, 7, 8)]
+
+
+def _case_id(case: tuple[int, int, bool]) -> str:
+    n, t, star = case
+    return f"n{n}-t{t}" + ("-star" if star else "")
+
+
+def _assert_same_search(got, want):
+    assert got.min_length == want.min_length
+    assert got.witness == want.witness
+    assert got.exhausted_levels == want.exhausted_levels
+    assert got.nodes_explored <= want.nodes_explored
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=_case_id)
+def test_matches_frozenset_oracle(case):
+    spec = SearchSpec(*case)
+    _assert_same_search(min_length(spec), oracle_min_length(spec))
+
+
+@pytest.mark.parametrize(
+    "case", [(n, t, star) for n in (3, 4) for t in range(1, n + 1) for star in (False, True)],
+    ids=_case_id,
+)
+def test_matches_frozenset_oracle_without_prunes(case):
+    spec = SearchSpec(*case)
+    _assert_same_search(
+        min_length(spec, prunes=PRUNE_NONE), oracle_min_length(spec, PRUNE_NONE)
+    )
+
+
+def test_permutation_arity_searches_as_one_less():
+    # the last point of an injective n-tuple is forced
+    for n in range(2, 6):
+        for star in (False, True):
+            full = min_length(SearchSpec(n, n, star_only=star))
+            less = min_length(SearchSpec(n, n - 1, star_only=star))
+            assert full.nodes_explored == less.nodes_explored
+            assert full.witness == less.witness
+
+
+def test_memo_cap_changes_no_answer(monkeypatch):
+    specs = [SearchSpec(5, 2), SearchSpec(5, 3), SearchSpec(7, 2, star_only=True)]
+    free = [min_length(spec) for spec in specs]
+    monkeypatch.setattr(search, "_MEMO_CAP", 3)
+    for spec, want in zip(specs, free):
+        got = min_length(spec)
+        assert got.min_length == want.min_length
+        assert got.witness == want.witness
+        assert got.exhausted_levels == want.exhausted_levels
+        assert got.nodes_explored >= want.nodes_explored
+    searcher = search._Searcher(5, 3, False, PRUNE_ALL, None)
+    assert searcher.run(7) is not None
+    assert 0 < len(searcher.memo) <= 3
+
+
+def test_budget_error_leaves_a_sound_memo():
+    # a subtree cut short by the budget is never recorded as failed, so
+    # the same searcher, given room, finds the answer a fresh one finds
+    searcher = search._Searcher(5, 2, False, PRUNE_ALL, 200)
+    with pytest.raises(BudgetExceededError):
+        searcher.run(5)
+    assert searcher.memo  # subtrees exhausted before the cut are kept
+    searcher.budget = None
+    assert searcher.run(5) is None
+    assert searcher.run(6) == exists_network(5, 2, 6)
