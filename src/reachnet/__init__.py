@@ -55,9 +55,6 @@ from .errors import (
     RetriesExceededError,
 )
 from .search import (
-    PRUNE_ALL,
-    PRUNE_NONE,
-    PruneFlags,
     SearchResult,
     SearchSpec,
     exists_network,

@@ -9,6 +9,7 @@ their flags (randomness is seeded).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -30,21 +31,44 @@ from .errors import BudgetExceededError, CapExhaustedError, RetriesExceededError
 from .search import SearchSpec, min_length
 from .verify import DEFAULT_BUDGET, verify_reachability, verify_uniformity
 
-FAMILIES = (
-    "one-reach",
-    "two-reach",
-    "two-reach-star",
-    "waksman",
-    "t-reach-random",
-    "two-unif-star",
-)
+_RANDOM_FLAGS = ("t", "seed", "epsilon", "max_retries")
 
 
 class UsageError(ValueError):
     """Flag validation failure; maps to exit code 2."""
 
 
+def _gen_random(args: argparse.Namespace) -> tuple[Network, list[str]]:
+    if args.t is None:
+        raise UsageError("t-reach-random requires -t")
+    params = RandomConstructionParams(
+        t=args.t,
+        n=args.n,
+        seed=args.seed if args.seed is not None else 0,
+        epsilon=Fraction(args.epsilon) if args.epsilon is not None else None,
+        max_retries=args.max_retries if args.max_retries is not None else 64,
+    )
+    built = t_reach_random_full(params)
+    return built.network, [f"# seed {params.seed}", f"# retries {built.retries}"]
+
+
+# family -> (builder returning the network and extra header comments, the
+# gen flags beyond -n that the family takes).  The lambdas look builders up
+# in this module's namespace at call time, so a wrapper swapped in for one
+# of those names sees every call.
+FAMILIES = {
+    "one-reach": (lambda args: (one_reach(args.n), []), ()),
+    "two-reach": (lambda args: (two_reach(args.n), []), ()),
+    "two-reach-star": (lambda args: (two_reach_star(args.n), []), ()),
+    "waksman": (lambda args: (waksman_permutation_network(args.n), []), ()),
+    "t-reach-random": (_gen_random, _RANDOM_FLAGS),
+    "two-unif-star": (lambda args: (two_unif_star(args.n), []), ()),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by ``main``."""
     parser = argparse.ArgumentParser(
         prog="reachnet",
         description="Construct, verify, search, and analyze transposition networks.",
@@ -115,43 +139,16 @@ def _cmdline_comment(argv: Sequence[str]) -> str:
 
 
 def _reject_irrelevant(args: argparse.Namespace, family: str) -> None:
-    random_only = {"t": args.t, "seed": args.seed, "epsilon": args.epsilon,
-                   "max_retries": args.max_retries}
-    if family != "t-reach-random":
-        given = [k for k, v in random_only.items() if v is not None]
-        if given:
-            raise UsageError(
-                f"flags {given} only apply to --family t-reach-random, not {family}"
-            )
+    taken = FAMILIES[family][1]
+    given = [k for k in _RANDOM_FLAGS if getattr(args, k) is not None and k not in taken]
+    if given:
+        raise UsageError(f"flags {given} only apply to --family t-reach-random, not {family}")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    family = args.family
-    _reject_irrelevant(args, family)
-    comments = [_cmdline_comment(args.raw_argv)]
-    if family == "one-reach":
-        net: Network | LazyNetwork = one_reach(args.n)
-    elif family == "two-reach":
-        net = two_reach(args.n)
-    elif family == "two-reach-star":
-        net = two_reach_star(args.n)
-    elif family == "waksman":
-        net = waksman_permutation_network(args.n)
-    elif family == "two-unif-star":
-        net = two_unif_star(args.n)
-    else:
-        if args.t is None:
-            raise UsageError("t-reach-random requires -t")
-        params = RandomConstructionParams(
-            t=args.t,
-            n=args.n,
-            seed=args.seed if args.seed is not None else 0,
-            epsilon=Fraction(args.epsilon) if args.epsilon is not None else None,
-            max_retries=args.max_retries if args.max_retries is not None else 64,
-        )
-        built = t_reach_random_full(params)
-        net = built.network
-        comments += [f"# seed {params.seed}", f"# retries {built.retries}"]
+    _reject_irrelevant(args, args.family)
+    net, extra = FAMILIES[args.family][0](args)
+    comments = [_cmdline_comment(args.raw_argv)] + extra
     _write_output(args.out, render_network(net, comments))
     return 0
 
@@ -209,9 +206,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     raw = list(argv) if argv is not None else sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(raw)
+        args = build_parser().parse_args(raw)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -23,9 +23,8 @@ TupleSet = set[CounterTuple]
 Distribution = dict[CounterTuple, Fraction]
 
 
-@dataclass(frozen=True, order=True)
-class Transposition:
-    """Unordered pair of distinct positions, stored canonically with a < b."""
+class _Pair:
+    """Checks and canonical order shared by plain and lazy transpositions."""
 
     a: int
     b: int
@@ -40,23 +39,49 @@ class Transposition:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter((self.a, self.b))
-
     @property
     def is_star(self) -> bool:
         return self.a == 1
+
+
+@dataclass(frozen=True, order=True)
+class Transposition(_Pair):
+    """Unordered pair of distinct positions, stored canonically with a < b."""
+
+    a: int
+    b: int
+
+    def __iter__(self) -> Iterator[int]:
+        return iter((self.a, self.b))
 
     def __repr__(self) -> str:
         return f"({self.a},{self.b})"
 
 
-@dataclass(frozen=True)
-class Network:
-    """Ground-set size plus an ordered transposition sequence."""
+@dataclass(frozen=True, order=True)
+class LazyTransposition(_Pair):
+    """Transposition that fires with an exact rational probability p."""
+
+    a: int
+    b: int
+    p: Fraction
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        p = Fraction(self.p)
+        object.__setattr__(self, "p", p)
+        if not 0 <= p <= 1:
+            raise ValueError(f"firing probability must lie in [0, 1], got {p}")
+
+    def __repr__(self) -> str:
+        return f"({self.a},{self.b},{self.p})"
+
+
+class _Sequence:
+    """Checks shared by plain and lazy networks."""
 
     n: int
-    seq: tuple[Transposition, ...]
+    seq: tuple[_Pair, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seq", tuple(self.seq))
@@ -65,10 +90,6 @@ class Network:
         for tau in self.seq:
             if tau.b > self.n:
                 raise ValueError(f"transposition {tau} exceeds ground set [{self.n}]")
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Network":
-        return cls(n, tuple(Transposition(a, b) for a, b in pairs))
 
     @property
     def is_star(self) -> bool:
@@ -78,50 +99,24 @@ class Network:
         return len(self.seq)
 
 
-@dataclass(frozen=True, order=True)
-class LazyTransposition:
-    """Transposition that fires with an exact rational probability p."""
+@dataclass(frozen=True)
+class Network(_Sequence):
+    """Ground-set size plus an ordered transposition sequence."""
 
-    a: int
-    b: int
-    p: Fraction
+    n: int
+    seq: tuple[Transposition, ...]
 
-    def __post_init__(self) -> None:
-        a, b = self.a, self.b
-        if a == b:
-            raise ValueError(f"transposition endpoints must differ, got ({a}, {b})")
-        if min(a, b) < 1:
-            raise ValueError(f"positions are 1-based, got ({a}, {b})")
-        if a > b:
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-        p = Fraction(self.p)
-        object.__setattr__(self, "p", p)
-        if not 0 <= p <= 1:
-            raise ValueError(f"firing probability must lie in [0, 1], got {p}")
-
-    @property
-    def is_star(self) -> bool:
-        return self.a == 1
-
-    def __repr__(self) -> str:
-        return f"({self.a},{self.b},{self.p})"
+    @classmethod
+    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Network":
+        return cls(n, tuple(Transposition(a, b) for a, b in pairs))
 
 
 @dataclass(frozen=True)
-class LazyNetwork:
+class LazyNetwork(_Sequence):
     """Ordered sequence of independent lazy transpositions."""
 
     n: int
     seq: tuple[LazyTransposition, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "seq", tuple(self.seq))
-        if self.n < 1:
-            raise ValueError(f"ground-set size must be >= 1, got {self.n}")
-        for tau in self.seq:
-            if tau.b > self.n:
-                raise ValueError(f"transposition {tau} exceeds ground set [{self.n}]")
 
     @classmethod
     def from_triples(
@@ -133,18 +128,11 @@ class LazyNetwork:
         """Drop probabilities, keeping the bare transposition sequence."""
         return Network(self.n, tuple(Transposition(t.a, t.b) for t in self.seq))
 
-    @property
-    def is_star(self) -> bool:
-        return all(tau.a == 1 for tau in self.seq)
-
-    def __len__(self) -> int:
-        return len(self.seq)
-
 
 AnyNetwork = Union[Network, LazyNetwork]
 
 
-def apply_transposition(tau: Transposition, x: CounterTuple) -> CounterTuple:
+def apply_transposition(tau: _Pair, x: CounterTuple) -> CounterTuple:
     """Image of a counter tuple under one transposition.
 
     Every entry equal to one endpoint becomes the other; applying the same

@@ -1,14 +1,17 @@
 """Exhaustive minimal-length search for t-reachability networks.
 
-Depth-first search over transposition sequences with three
+Depth-first search over transposition sequences with four fixed
 length-preserving pruning rules: (i) a step joining two inactive
 positions never changes the frontier, so a shorter network exists;
 (ii) inactive positions are interchangeable under relabeling, so the k-th
 newly activated position can be forced to carry label t+k; (iii) every
 minimal network grows its frontier strictly at each step (a non-growing
-step can be dropped without changing later frontiers).  A witness found
-at level L during iterative deepening is therefore minimal once all
-smaller levels are exhausted.
+step can be dropped without changing later frontiers); (iv) a branch is
+cut when doubling the frontier, or activating one position, per
+remaining step cannot finish.  A witness found at level L during
+iterative deepening is therefore minimal once all smaller levels are
+exhausted.  The same search with every rule off is kept as a test
+reference in ``tests/_oracles.py``.
 
 A frontier is one integer with a bit per tuple code, and a memo of failed
 frontiers (kept across deepening levels) skips subtrees already exhausted
@@ -28,20 +31,6 @@ from dataclasses import dataclass
 
 from .core import Network, encode_tuple, start_tuple
 from .errors import BudgetExceededError, CapExhaustedError
-
-
-@dataclass(frozen=True)
-class PruneFlags:
-    """Toggles for each pruning rule; disabling all gives the brute search."""
-
-    inactive_pairs: bool = True
-    canonical_activation: bool = True
-    frontier_growth: bool = True
-    bounds: bool = True
-
-
-PRUNE_ALL = PruneFlags()
-PRUNE_NONE = PruneFlags(False, False, False, False)
 
 
 @dataclass(frozen=True)
@@ -108,17 +97,18 @@ def _swap_masks(n: int, k: int, a: int, b: int) -> SwapMasks:
 class _Searcher:
     """Depth-first search over frontier bitmasks with a failed-state memo.
 
-    The active set is always the set of values in frontier tuples, so a
-    subtree depends only on (frontier, remaining).  ``memo`` maps a frontier
-    to the largest ``remaining`` at which its subtree was exhausted without
-    success; a failure at depth r is a failure at every depth below r, so
-    such states are skipped.  Entries are written only after a subtree is
-    exhausted: a budget error unwinds without storing the states it cut
-    short, and the memo never changes which witness is found first.  The memo lives as
-    long as the searcher, across iterative-deepening levels.
+    By rule (ii) the active positions are always 1..m, and they are the
+    values in frontier tuples, so a subtree depends only on (frontier,
+    remaining).  ``memo`` maps a frontier to the largest ``remaining`` at
+    which its subtree was exhausted without success; a failure at depth r
+    is a failure at every depth below r, so such states are skipped.
+    Entries are written only after a subtree is exhausted: a budget error
+    unwinds without storing the states it cut short, and the memo never
+    changes which witness is found first.  The memo lives as long as the
+    searcher, across iterative-deepening levels.
     """
 
-    def __init__(self, n: int, t: int, star_only: bool, prunes: PruneFlags, budget: int | None):
+    def __init__(self, n: int, t: int, star_only: bool, budget: int | None):
         if t == n:
             # an injective n-tuple is fixed by its first n-1 points: the
             # search tree is the same over n-fold smaller masks
@@ -126,79 +116,55 @@ class _Searcher:
         self.n = n
         self.t = t
         self.star_only = star_only
-        self.prunes = prunes
         self.budget = budget
         self.required = math.perm(n, t)
         self.start = 1 << encode_tuple(start_tuple(t), n)
         self.nodes = 0
         self.memo: dict[int, int] = {}
-        self.move_lists: dict[frozenset[int], list] = {}
+        self.move_lists: dict[int, list] = {}
         self.path: list[tuple[int, int]] = []
 
-    def candidates(self, active: frozenset[int]) -> list[tuple[int, int]]:
-        """Branching order: active-active pairs, then activations, lex each."""
-        act = sorted(active)
+    def candidates(self, m: int) -> list[tuple[int, int]]:
+        """Branching order with positions 1..m active: pairs within them,
+        then pairs activating m+1 (rules (i) and (ii)), lex each."""
         if self.star_only:
-            within = [(1, x) for x in act if x != 1]
+            within = [(1, x) for x in range(2, m + 1)]
+            new = [(1, m + 1)]
         else:
-            within = [(a, b) for i, a in enumerate(act) for b in act[i + 1 :]]
-        out = within
-        inactive = [v for v in range(1, self.n + 1) if v not in active]
-        if inactive:
-            if self.prunes.canonical_activation:
-                # canonical labels keep active = {1..m}, so min(inactive) is next
-                new = [inactive[0]]
-            else:
-                new = inactive
-            if self.star_only:
-                out = out + [(1, v) for v in new]
-            else:
-                out = out + sorted((min(a, v), max(a, v)) for a in act for v in new)
-                if not self.prunes.inactive_pairs:
-                    out = out + [
-                        (u, v) for i, u in enumerate(inactive) for v in inactive[i + 1 :]
-                    ]
-        return out
+            within = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)]
+            new = [(a, m + 1) for a in range(1, m + 1)]
+        return within + new if m < self.n else within
 
-    def moves(self, active: frozenset[int]) -> list[tuple[int, int, SwapMasks, frozenset[int]]]:
-        """Candidates of ``active`` with their masks and next active set, cached."""
-        out = self.move_lists.get(active)
+    def moves(self, m: int) -> list[tuple[int, int, SwapMasks, int]]:
+        """Candidates with m active, their masks and next active count, cached."""
+        out = self.move_lists.get(m)
         if out is None:
-            out = []
-            for a, b in self.candidates(active):
-                # Activation on first contact with an active position; a step
-                # joining two inactive positions activates neither.
-                if a in active:
-                    nxt_active = active if b in active else active | {b}
-                else:
-                    nxt_active = active | {a} if b in active else active
-                out.append((a, b, _swap_masks(self.n, self.t, a, b), nxt_active))
-            self.move_lists[active] = out
+            out = [
+                (a, b, _swap_masks(self.n, self.t, a, b), max(m, b))
+                for a, b in self.candidates(m)
+            ]
+            self.move_lists[m] = out
         return out
 
     def run(self, length: int) -> Network | None:
         self.path = []
-        if self._dfs(self.start, frozenset(range(1, self.t + 1)), length):
+        if self._dfs(self.start, self.t, length):
             return Network.from_pairs(self.n, self.path)
         return None
 
-    def _dfs(self, frontier: int, active: frozenset[int], remaining: int) -> bool:
+    def _dfs(self, frontier: int, m: int, remaining: int) -> bool:
         size = frontier.bit_count()
         if size == self.required:
             return True
-        if remaining == 0:
+        # rule (iv): each step at most doubles the frontier and activates
+        # at most one position
+        if remaining == 0 or size << remaining < self.required or self.n - m > remaining:
             return False
-        if self.prunes.bounds:
-            if size << remaining < self.required:
-                return False
-            if self.n - len(active) > remaining:
-                return False
         memo = self.memo
         if memo.get(frontier, 0) >= remaining:
             return False
-        growth = self.prunes.frontier_growth
         budget = self.budget
-        for a, b, masks, nxt_active in self.moves(active):
+        for a, b, masks, nxt_m in self.moves(m):
             self.nodes += 1
             if budget is not None and self.nodes > budget:
                 raise BudgetExceededError(
@@ -208,10 +174,10 @@ class _Searcher:
             for keep, ma, mb, shift in masks:
                 image = (image & keep) | ((image & ma) << shift) | ((image & mb) >> shift)
             child = frontier | image
-            if growth and child == frontier:
+            if child == frontier:  # rule (iii)
                 continue
             self.path.append((a, b))
-            if self._dfs(child, nxt_active, remaining - 1):
+            if self._dfs(child, nxt_m, remaining - 1):
                 return True
             self.path.pop()
         # at remaining 1 a recheck costs one pass over the candidates, less
@@ -228,7 +194,6 @@ def exists_network(
     star_only: bool = False,
     *,
     budget: int | None = None,
-    prunes: PruneFlags = PRUNE_ALL,
 ) -> Network | None:
     """Witness of length <= ``length``, or None after exhausting the level.
 
@@ -238,26 +203,18 @@ def exists_network(
     if length < 0:
         raise ValueError("length must be nonnegative")
     SearchSpec(n, t, star_only)  # validate n, t
-    return _Searcher(n, t, star_only, prunes, budget).run(length)
+    return _Searcher(n, t, star_only, budget).run(length)
 
 
-def min_length(
-    spec: SearchSpec,
-    *,
-    prunes: PruneFlags = PRUNE_ALL,
-    start_length: int | None = None,
-) -> SearchResult:
-    """Iterative deepening from n-1 (or ``start_length``) upward.
+def min_length(spec: SearchSpec) -> SearchResult:
+    """Iterative deepening from n-1 upward.
 
     Every level below the answer is proven infeasible by exhaustion and
     recorded in ``exhausted_levels``.
     """
-    start = max(0, spec.n - 1) if start_length is None else start_length
-    if start < 0:
-        raise ValueError("start_length must be nonnegative")
-    searcher = _Searcher(spec.n, spec.t, spec.star_only, prunes, spec.budget)
+    searcher = _Searcher(spec.n, spec.t, spec.star_only, spec.budget)
     exhausted: list[int] = []
-    level = start
+    level = spec.n - 1
     while spec.max_len is None or level <= spec.max_len:
         witness = searcher.run(level)
         if witness is not None:

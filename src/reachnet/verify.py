@@ -21,6 +21,8 @@ from .core import (
     LazyNetwork,
     Network,
     TupleSet,
+    apply_transposition,
+    decode_tuple,
     encode_tuple,
     start_tuple,
 )
@@ -93,17 +95,19 @@ def _required_tuples(n: int, t: int, budget: int) -> int:
     return required
 
 
-def _frontier_codes(
-    net: Network, t: int, budget: int, early_exit: bool
-) -> tuple[np.ndarray, int, int]:
-    """Run the closure; return (sorted codes, required, steps processed)."""
+def _frontier_codes(net: Network, t: int, budget: int) -> tuple[np.ndarray, int, int]:
+    """Run the closure; return (sorted codes, required, steps processed).
+
+    The closure stops once the frontier holds all required tuples: no
+    later step can add one.
+    """
     n = net.n
     required = _required_tuples(n, t, budget)
     weights = [n**i for i in range(t - 1, -1, -1)]
     codes = np.array([encode_tuple(start_tuple(t), n)], dtype=np.int64)
     steps = 0
     for tau in net.seq:
-        if early_exit and len(codes) == required:
+        if len(codes) == required:
             break
         steps += 1
         a, b = tau.a - 1, tau.b - 1
@@ -118,15 +122,10 @@ def _frontier_codes(
     return codes, required, steps
 
 
-def _decode_codes(codes: np.ndarray, n: int, t: int) -> TupleSet:
-    cols = [(((codes // n**i) % n) + 1).tolist() for i in range(t - 1, -1, -1)]
-    return set(zip(*cols)) if t > 0 else set()
-
-
 def reach_set(net: Network, t: int, budget: int = DEFAULT_BUDGET) -> TupleSet:
     """Exactly the tuples reachable from (1,...,t) by some subsequence."""
-    codes, _, _ = _frontier_codes(net, t, budget, early_exit=False)
-    return _decode_codes(codes, net.n, t)
+    codes, _, _ = _frontier_codes(net, t, budget)
+    return {decode_tuple(code, net.n, t) for code in codes.tolist()}
 
 
 def _missing_sample(codes: np.ndarray, n: int, t: int) -> tuple[CounterTuple, ...]:
@@ -140,11 +139,9 @@ def _missing_sample(codes: np.ndarray, n: int, t: int) -> tuple[CounterTuple, ..
     return tuple(out)
 
 
-def verify_reachability(
-    net: Network, t: int, budget: int = DEFAULT_BUDGET, early_exit: bool = True
-) -> ReachVerdict:
-    """Decide t-reachability; complete frontiers allow an early exit."""
-    codes, required, steps = _frontier_codes(net, t, budget, early_exit)
+def verify_reachability(net: Network, t: int, budget: int = DEFAULT_BUDGET) -> ReachVerdict:
+    """Decide t-reachability; a complete frontier ends the closure early."""
+    codes, required, steps = _frontier_codes(net, t, budget)
     reached = len(codes)
     ok = reached == required
     missing = () if ok else _missing_sample(codes, net.n, t)
@@ -170,11 +167,10 @@ def tuple_distribution(net: LazyNetwork, t: int, budget: int = DEFAULT_BUDGET) -
         p = tau.p
         if p == 0:
             continue
-        a, b = tau.a, tau.b
         stay = one - p
         nxt: Distribution = {}
         for x, m in mass.items():
-            y = tuple(b if e == a else a if e == b else e for e in x)
+            y = apply_transposition(tau, x)
             nxt[y] = nxt.get(y, zero) + p * m
             if stay:
                 nxt[x] = nxt.get(x, zero) + stay * m

@@ -8,7 +8,9 @@ rational weights.  Keep them naive.
 ``oracle_min_length`` is the search engine that the bitmask search with a
 failed-frontier memo replaced: frozenset frontiers over a per-transposition
 code table, no memo.  It is kept to pin minima, witnesses, exhausted levels
-and node counts of the library search.
+and node counts of the library search.  With ``prune=False`` it drops all
+four of the library's fixed prune rules and searches every sequence, the
+soundness reference for those rules.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from reachnet.core import (
     start_tuple,
 )
 from reachnet.errors import BudgetExceededError, CapExhaustedError
-from reachnet.search import PRUNE_ALL, PruneFlags, SearchResult, SearchSpec
+from reachnet.search import SearchResult, SearchSpec
 
 
 def naive_reach_set(net: Network, t: int) -> TupleSet:
@@ -87,11 +89,11 @@ def _apply_table(n: int, t: int, a: int, b: int) -> list[int]:
 
 
 class _FrozensetSearcher:
-    def __init__(self, n: int, t: int, star_only: bool, prunes: PruneFlags, budget: int | None):
+    def __init__(self, n: int, t: int, star_only: bool, prune: bool, budget: int | None):
         self.n = n
         self.t = t
         self.star_only = star_only
-        self.prunes = prunes
+        self.prune = prune
         self.budget = budget
         self.required = math.perm(n, t)
         self.nodes = 0
@@ -115,7 +117,7 @@ class _FrozensetSearcher:
         out = within
         inactive = [v for v in range(1, self.n + 1) if v not in active]
         if inactive:
-            if self.prunes.canonical_activation:
+            if self.prune:
                 new = [inactive[0]]
             else:
                 new = inactive
@@ -123,7 +125,7 @@ class _FrozensetSearcher:
                 out = out + [(1, v) for v in new]
             else:
                 out = out + sorted((min(a, v), max(a, v)) for a in act for v in new)
-                if not self.prunes.inactive_pairs:
+                if not self.prune:
                     out = out + [
                         (u, v) for i, u in enumerate(inactive) for v in inactive[i + 1 :]
                     ]
@@ -142,7 +144,7 @@ class _FrozensetSearcher:
             return True
         if remaining == 0:
             return False
-        if self.prunes.bounds:
+        if self.prune:
             if len(frontier) << remaining < self.required:
                 return False
             if self.n - len(active) > remaining:
@@ -155,7 +157,7 @@ class _FrozensetSearcher:
                 )
             tab = self.table(a, b)
             child = frontier | {tab[s] for s in frontier}
-            if self.prunes.frontier_growth and len(child) == len(frontier):
+            if self.prune and len(child) == len(frontier):
                 continue
             if a in active:
                 nxt_active = active if b in active else active | {b}
@@ -168,9 +170,9 @@ class _FrozensetSearcher:
         return False
 
 
-def oracle_min_length(spec: SearchSpec, prunes: PruneFlags = PRUNE_ALL) -> SearchResult:
+def oracle_min_length(spec: SearchSpec, prune: bool = True) -> SearchResult:
     """Iterative deepening from n-1 with the frozenset search."""
-    searcher = _FrozensetSearcher(spec.n, spec.t, spec.star_only, prunes, spec.budget)
+    searcher = _FrozensetSearcher(spec.n, spec.t, spec.star_only, prune, spec.budget)
     exhausted: list[int] = []
     level = max(0, spec.n - 1)
     while spec.max_len is None or level <= spec.max_len:

@@ -3,7 +3,7 @@ import io
 import pytest
 
 from reachnet import LazyNetwork, Network, parse_network, two_reach, verify_reachability
-from reachnet.cli import main
+from reachnet.cli import FAMILIES, build_parser, main
 
 
 def run(capsys, *argv):
@@ -78,21 +78,17 @@ def test_gen_usage_errors(capsys):
 
 
 def test_every_family_gen_then_verify(tmp_path, capsys):
-    cases = [
-        (["gen", "--family", "one-reach", "-n", "8"], ["verify", "-t", "1"]),
-        (["gen", "--family", "two-reach", "-n", "9"], ["verify", "-t", "2"]),
-        (["gen", "--family", "two-reach-star", "-n", "8"], ["verify", "-t", "2"]),
-        (["gen", "--family", "waksman", "-n", "5"], ["verify", "-t", "5"]),
-        (
-            ["gen", "--family", "t-reach-random", "-n", "20", "-t", "3", "--seed", "3"],
-            ["verify", "-t", "3"],
-        ),
-        (
-            ["gen", "--family", "two-unif-star", "-n", "6"],
-            ["verify", "-t", "2", "--uniform"],
-        ),
-    ]
-    for i, (gen_argv, verify_argv) in enumerate(cases):
+    cases = {
+        "one-reach": (["-n", "8"], ["verify", "-t", "1"]),
+        "two-reach": (["-n", "9"], ["verify", "-t", "2"]),
+        "two-reach-star": (["-n", "8"], ["verify", "-t", "2"]),
+        "waksman": (["-n", "5"], ["verify", "-t", "5"]),
+        "t-reach-random": (["-n", "20", "-t", "3", "--seed", "3"], ["verify", "-t", "3"]),
+        "two-unif-star": (["-n", "6"], ["verify", "-t", "2", "--uniform"]),
+    }
+    assert cases.keys() == FAMILIES.keys()
+    for i, (family, (flags, verify_argv)) in enumerate(cases.items()):
+        gen_argv = ["gen", "--family", family, *flags]
         path = gen_file(tmp_path, capsys, f"net{i}.txt", *gen_argv)
         code, out, err = run(capsys, *verify_argv, str(path))
         assert code == 0, (gen_argv, err, out)
@@ -256,3 +252,45 @@ def test_convert_requires_flag(tmp_path, capsys):
 def test_no_command_exit_2(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+def test_repeated_main_calls_match_fresh_ones(tmp_path, capsys):
+    # the parser is built once per process; no call may see another's flags
+    net = tmp_path / "n6.net"
+    net.write_text("reachnet 1\nn 6\nkind plain\n1 2\n")
+    calls = [
+        ["gen", "--family", "t-reach-random", "-n", "20", "-t", "3", "--seed", "3"],
+        ["gen", "--family", "nope", "-n", "4"],
+        ["gen", "--family", "two-reach", "-n", "9"],
+        ["gen", "--family", "two-reach", "-n", "9", "--seed", "1"],
+        ["search", "-n", "4", "-t", "2", "--star"],
+        ["search", "-n", "4", "-t", "2"],
+        ["verify", "-t", "2", str(net)],
+        ["gen", "--family", "waksman", "-n", "4"],
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0, 0, 1, 0]
+
+
+def test_gen_looks_builders_up_at_call_time(monkeypatch, capsys):
+    # wrappers swapped in for cli's builder names must see every gen call
+    from reachnet import cli
+
+    builders = ["one_reach", "two_reach", "two_reach_star", "waksman_permutation_network",
+                "t_reach_random_full", "two_unif_star"]
+    seen = []
+    for name in builders:
+        def traced(*args, _name=name, _fn=getattr(cli, name)):
+            seen.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, traced)
+    for family in FAMILIES:
+        flags = ["-t", "3", "--seed", "3"] if family == "t-reach-random" else []
+        code, _, err = run(capsys, "gen", "--family", family, "-n", "20", *flags)
+        assert code == 0, err
+    assert seen == builders

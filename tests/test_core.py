@@ -27,17 +27,28 @@ def test_transposition_canonical_order():
     assert tuple(tau) == (2, 5)
 
 
+PLAIN = (Transposition, Network)
+LAZY = (lambda a, b: LazyTransposition(a, b, Fraction(1, 2)), LazyNetwork)
+KINDS = pytest.mark.parametrize("kind", [PLAIN, LAZY], ids=["plain", "lazy"])
+
+
+@KINDS
 @pytest.mark.parametrize("a,b", [(2, 2), (0, 1), (-1, 3)])
-def test_transposition_rejects_bad_endpoints(a, b):
+def test_transposition_rejects_bad_endpoints(a, b, kind):
+    make_tau, _ = kind
     with pytest.raises(ValueError):
-        Transposition(a, b)
+        make_tau(a, b)
 
 
-def test_network_validates_ground_set():
+@KINDS
+def test_network_validates_ground_set(kind):
+    make_tau, make_net = kind
     with pytest.raises(ValueError):
-        Network.from_pairs(3, [(1, 4)])
+        make_net(3, (make_tau(1, 4),))
     with pytest.raises(ValueError):
-        Network(0, ())
+        make_net(0, ())
+    net = make_net(4, (make_tau(4, 1),))
+    assert len(net) == 1 and net.is_star and net.seq[0].a == 1
 
 
 def test_is_star():

@@ -5,8 +5,6 @@ from reachnet import search
 from reachnet import (
     BudgetExceededError,
     CapExhaustedError,
-    PRUNE_ALL,
-    PRUNE_NONE,
     SearchSpec,
     exists_network,
     min_length,
@@ -69,14 +67,16 @@ def test_min_length_permutation_arity():
 
 
 def test_pruning_cross_check():
-    for n in (2, 3, 4):
-        full = min_length(SearchSpec(n, 2), prunes=PRUNE_ALL)
-        brute = min_length(SearchSpec(n, 2), prunes=PRUNE_NONE)
-        assert full.min_length == brute.min_length
-    for n in (3, 4):
-        full = min_length(SearchSpec(n, 2, star_only=True), prunes=PRUNE_ALL)
-        brute = min_length(SearchSpec(n, 2, star_only=True), prunes=PRUNE_NONE)
-        assert full.min_length == brute.min_length
+    # the oracle's prune rules against its search that tries every
+    # sequence; the library matches the pruned oracle exactly
+    for n in range(1, 5):
+        for t in range(1, n + 1):
+            for star in (False, True):
+                spec = SearchSpec(n, t, star_only=star)
+                pruned = oracle_min_length(spec)
+                brute = oracle_min_length(spec, prune=False)
+                assert pruned.min_length == brute.min_length
+                assert pruned.exhausted_levels == brute.exhausted_levels
 
 
 def test_determinism():
@@ -116,11 +116,6 @@ def test_witness_can_be_shorter_than_level():
     assert w is not None and len(w) == 1
 
 
-def test_start_length_above_minimum_is_corrected():
-    r = min_length(SearchSpec(2, 2), start_length=3)
-    assert r.min_length == 1
-
-
 # Every (n, t, star) with n <= 5, then star t=2 up to n=8.
 ORACLE_CASES = [
     (n, t, star) for n in range(1, 6) for t in range(1, n + 1) for star in (False, True)
@@ -150,10 +145,15 @@ def test_matches_frozenset_oracle(case):
     ids=_case_id,
 )
 def test_matches_frozenset_oracle_without_prunes(case):
+    # the library always prunes; against a search that tries every
+    # sequence it must settle the same minimum over the same levels
     spec = SearchSpec(*case)
-    _assert_same_search(
-        min_length(spec, prunes=PRUNE_NONE), oracle_min_length(spec, PRUNE_NONE)
-    )
+    got = min_length(spec)
+    want = oracle_min_length(spec, prune=False)
+    assert got.min_length == want.min_length
+    assert got.exhausted_levels == want.exhausted_levels
+    assert got.nodes_explored <= want.nodes_explored
+    assert verify_reachability(got.witness, spec.t).ok
 
 
 def test_permutation_arity_searches_as_one_less():
@@ -176,7 +176,7 @@ def test_memo_cap_changes_no_answer(monkeypatch):
         assert got.witness == want.witness
         assert got.exhausted_levels == want.exhausted_levels
         assert got.nodes_explored >= want.nodes_explored
-    searcher = search._Searcher(5, 3, False, PRUNE_ALL, None)
+    searcher = search._Searcher(5, 3, False, None)
     assert searcher.run(7) is not None
     assert 0 < len(searcher.memo) <= 3
 
@@ -184,7 +184,7 @@ def test_memo_cap_changes_no_answer(monkeypatch):
 def test_budget_error_leaves_a_sound_memo():
     # a subtree cut short by the budget is never recorded as failed, so
     # the same searcher, given room, finds the answer a fresh one finds
-    searcher = search._Searcher(5, 2, False, PRUNE_ALL, 200)
+    searcher = search._Searcher(5, 2, False, 200)
     with pytest.raises(BudgetExceededError):
         searcher.run(5)
     assert searcher.memo  # subtrees exhausted before the cut are kept

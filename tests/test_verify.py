@@ -61,8 +61,13 @@ def test_early_exit_reports_steps():
     padded = Network(6, net.seq + net.seq)
     v = verify_reachability(padded, 2)
     assert v.ok and v.steps_used <= len(net)
-    full = verify_reachability(padded, 2, early_exit=False)
-    assert full.ok and full.steps_used == len(padded)
+
+
+def test_reach_set_of_completed_network_is_unchanged_by_padding():
+    # the closure stops at completion; the steps it skips add nothing
+    for net, t in [(two_reach(5), 2), (one_reach(4), 1), (waksman_permutation_network(3), 3)]:
+        padded = Network(net.n, net.seq + net.seq[::-1])
+        assert reach_set(padded, t) == naive_reach_set(padded, t)
 
 
 def test_verify_permutation_network_examples():
