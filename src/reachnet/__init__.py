@@ -41,7 +41,6 @@ from .core import (
     Transposition,
     TupleSet,
     apply_transposition,
-    compose_subsequence,
     decode_tuple,
     encode_tuple,
     parse_network,
@@ -66,7 +65,6 @@ from .verify import (
     UniformityVerdict,
     reach_set,
     tuple_distribution,
-    verify_permutation_network,
     verify_reachability,
     verify_uniformity,
 )

@@ -142,31 +142,6 @@ def apply_transposition(tau: _Pair, x: CounterTuple) -> CounterTuple:
     return tuple(b if e == a else a if e == b else e for e in x)
 
 
-def compose_subsequence(net: Network, mask: Iterable[int]) -> tuple[int, ...]:
-    """Composite permutation of the selected transpositions, applied in order.
-
-    ``mask`` is a set of distinct 1-based indices into ``net.seq``; the
-    selected transpositions keep their sequence order.  Returns the full
-    permutation as a tuple p with p[j-1] = final position of the counter
-    that starts on position j.  An empty mask gives the identity.
-    """
-    indices = sorted(mask)
-    for prev, idx in zip(indices, indices[1:]):
-        if idx == prev:
-            raise ValueError(f"mask index {idx} selected twice")
-    n = net.n
-    pos = list(range(n + 1))  # pos[j] = current position of counter j
-    arr = list(range(n + 1))  # arr[p] = counter currently on position p
-    for idx in indices:
-        if not 1 <= idx <= len(net.seq):
-            raise IndexError(f"mask index {idx} out of range 1..{len(net.seq)}")
-        tau = net.seq[idx - 1]
-        ca, cb = arr[tau.a], arr[tau.b]
-        arr[tau.a], arr[tau.b] = cb, ca
-        pos[ca], pos[cb] = tau.b, tau.a
-    return tuple(pos[1:])
-
-
 def start_tuple(t: int) -> CounterTuple:
     """Initial arrangement: counter j on position j."""
     return tuple(range(1, t + 1))

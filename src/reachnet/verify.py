@@ -1,8 +1,27 @@
 """Exact decision procedures for reachability and uniformity.
 
-Reachability runs a frontier closure S <- S union tau(S) over the
-sequence, with the frontier held as a sorted array of mixed-radix tuple
-codes; each step can at most double the frontier and never shrinks it.
+Reachability runs the frontier closure S <- S | tau(S) over the
+sequence.  The frontier is a boolean "reached" array over counter
+tuples, and transposition (a b) updates only the tuples that hold a or b;
+each step at most doubles the frontier and never shrinks it.  The closure
+stops once all n!/(n-t)! injective tuples are reached.  Two layouts hold
+the array, and in both its flat order is lexicographic order:
+
+- dense, shape (n,)*t, one cell per tuple of [n]^t, injective or not.
+  For each axis i, the image of the slice x_i = a lands in the slice
+  x_i = b: it is a copy of the n^(t-1) cells of the a-slice with its a
+  and b rows swapped on each of the other t-1 axes.  Likewise from b to a.
+- ranked, one cell per injective tuple at its lexicographic
+  (falling-factorial, Lehmer) rank.  The reached tuples are also kept as
+  small integer columns (int8 up to n = 128) in the order found; a step
+  maps only those that hold a or b, and ranks their images.
+
+The dense layout is used when n^t <= 8 n!/(n-t)! and its n^t cells fit
+the budget, the ranked layout otherwise.  So the budget counts the cells
+allocated, and only n!/(n-t)! > budget raises BudgetExceededError.  At
+t = n the last entry of an injective tuple is the one value the others
+leave, so the closure runs at t = n-1, with the same counts and steps.
+
 Uniformity pushes an exact rational mass map through the lazy sequence.
 """
 
@@ -22,8 +41,6 @@ from .core import (
     Network,
     TupleSet,
     apply_transposition,
-    decode_tuple,
-    encode_tuple,
     start_tuple,
 )
 from .errors import BudgetExceededError
@@ -31,6 +48,9 @@ from .errors import BudgetExceededError
 DEFAULT_BUDGET = 1 << 27
 
 MISSING_SAMPLE_CAP = 10
+
+# the dense layout is used while n^t is at most this many times n!/(n-t)!
+DENSE_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -90,67 +110,155 @@ def _required_tuples(n: int, t: int, budget: int) -> int:
         raise BudgetExceededError(
             f"{required} tuples exceed the state budget {budget} (n={n}, t={t})"
         )
-    if n**t >= 1 << 62:
-        raise BudgetExceededError(f"tuple code space n^t overflows 64 bits (n={n}, t={t})")
     return required
 
 
-def _frontier_codes(net: Network, t: int, budget: int) -> tuple[np.ndarray, int, int]:
-    """Run the closure; return (sorted codes, required, steps processed).
+def _closure_arity(n: int, t: int) -> int:
+    """Arity the closure runs at: t = n > 1 runs as n-1."""
+    return n - 1 if t == n > 1 else t
 
-    The closure stops once the frontier holds all required tuples: no
-    later step can add one.
-    """
+
+def _dense_closure(net: Network, t: int) -> tuple[np.ndarray, int, int]:
+    """Closure over the (n,)*t array; return (reached, count, steps processed)."""
     n = net.n
-    required = _required_tuples(n, t, budget)
-    weights = [n**i for i in range(t - 1, -1, -1)]
-    codes = np.array([encode_tuple(start_tuple(t), n)], dtype=np.int64)
-    steps = 0
+    required = math.perm(n, t)
+    reached = np.zeros((n,) * t, dtype=bool)
+    reached[tuple(range(t))] = True
+    count, steps = 1, 0
     for tau in net.seq:
-        if len(codes) == required:
+        if count == required:
             break
         steps += 1
         a, b = tau.a - 1, tau.b - 1
-        mapped = np.zeros_like(codes)
-        for w in weights:
-            d = (codes // w) % n
-            d = np.where(d == a, np.int64(b), np.where(d == b, np.int64(a), d))
-            mapped += d * w
-        merged = np.union1d(codes, mapped)
-        if len(merged) > len(codes):
-            codes = merged
-    return codes, required, steps
+        # An image read after earlier ORs of this step can only add
+        # tau(tau(x)) = x for an x already reached, so reading and writing
+        # the same array still gives exactly S | tau(S).
+        for i in range(t):
+            for src, dst in ((a, b), (b, a)):
+                image = reached[(slice(None),) * i + (slice(src, src + 1),)].copy()
+                for j in range(t):
+                    if j != i:  # swap a and b on the other axes
+                        at_a, at_b = (slice(None),) * j + (a,), (slice(None),) * j + (b,)
+                        held = image[at_a].copy()
+                        image[at_a] = image[at_b]
+                        image[at_b] = held
+                view = reached[(slice(None),) * i + (slice(dst, dst + 1),)]
+                count += int(np.count_nonzero(image & ~view))
+                view |= image
+    return reached, count, steps
+
+
+def _lehmer_rank(x: np.ndarray, n: int) -> np.ndarray:
+    """Lexicographic rank among injective tuples of the columns of x (0-based)."""
+    t = len(x)
+    rank = np.zeros(x.shape[1], dtype=np.int64)
+    for i in range(t):
+        digit = x[i].copy()
+        for j in range(i):
+            digit -= x[j] < x[i]
+        rank += digit.astype(np.int64) * math.perm(n - 1 - i, t - 1 - i)
+    return rank
+
+
+def _lehmer_unrank(rank: np.ndarray, n: int, t: int) -> np.ndarray:
+    """Inverse of _lehmer_rank: one 0-based injective tuple per row."""
+    x = np.empty((len(rank), t), dtype=np.int64)
+    for i in range(t):
+        x[:, i], rank = np.divmod(rank, math.perm(n - 1 - i, t - 1 - i))
+    # digit i counts the values below x_i that x_0..x_{i-1} leave free
+    for i in range(t - 2, -1, -1):
+        x[:, i + 1 :] += x[:, i + 1 :] >= x[:, i : i + 1]
+    return x
+
+
+def _ranked_closure(net: Network, t: int) -> tuple[np.ndarray, int, int]:
+    """Closure over injective tuples by Lehmer rank; return (reached, count, steps)."""
+    n = net.n
+    required = math.perm(n, t)
+    reached = np.zeros(required, dtype=bool)
+    reached[0] = True  # rank of (1, ..., t)
+    # the reached tuples in the order found, as the smallest signed columns
+    rows = np.empty((t, required), dtype=np.min_scalar_type(-n))
+    rows[:, 0] = np.arange(t)
+    count, steps = 1, 0
+    for tau in net.seq:
+        if count == required:
+            break
+        steps += 1
+        a, b = rows.dtype.type(tau.a - 1), rows.dtype.type(tau.b - 1)
+        held = rows[:, :count]
+        image = held.take(np.flatnonzero(((held == a) | (held == b)).any(axis=0)), axis=1)
+        image ^= ((image == a) | (image == b)) * (a ^ b)  # a <-> b
+        rank = _lehmer_rank(image, n)
+        new = ~reached[rank]
+        k = int(np.count_nonzero(new))
+        reached[rank[new]] = True
+        rows[:, count : count + k] = image[:, new]
+        count += k
+    return reached, count, steps
+
+
+def _closure(net: Network, t: int, budget: int) -> tuple[np.ndarray, int, int]:
+    """Run the closure in the layout the ratio rule picks."""
+    required = _required_tuples(net.n, t, budget)
+    arity = _closure_arity(net.n, t)
+    cells = net.n**arity
+    dense = cells <= DENSE_RATIO * required and cells <= budget
+    return (_dense_closure if dense else _ranked_closure)(net, arity)
+
+
+def _dense_missing(reached: np.ndarray) -> np.ndarray:
+    """The first MISSING_SAMPLE_CAP unreached injective tuples of a dense array."""
+    found: list[np.ndarray] = []
+    for head in range(reached.shape[0]):
+        rest = np.argwhere(~reached[head])
+        cells = np.column_stack([np.full(len(rest), head), rest])
+        cells = cells[(np.diff(np.sort(cells, axis=1), axis=1) != 0).all(axis=1)]
+        found += list(cells[: MISSING_SAMPLE_CAP - len(found)])
+        if len(found) == MISSING_SAMPLE_CAP:
+            break
+    return np.array(found, dtype=np.int64).reshape(-1, reached.ndim)
+
+
+def _tuples(reached: np.ndarray, n: int, t: int, missing: bool = False) -> np.ndarray:
+    """Reached tuples, or the first MISSING_SAMPLE_CAP missing ones, in lex order.
+
+    `reached` comes from a layout function at arity `t`; rows are 0-based.
+    A one-dimensional array is indexed by rank (dense t = 1 is too).
+    """
+    if reached.ndim == 1:
+        ranks = np.flatnonzero(~reached if missing else reached)
+        return _lehmer_unrank(ranks[:MISSING_SAMPLE_CAP] if missing else ranks, n, t)
+    if missing:
+        return _dense_missing(reached)
+    return np.argwhere(reached)
+
+
+def _as_counter_tuples(x: np.ndarray, n: int, t: int) -> list[CounterTuple]:
+    """1-based tuples of arity t from closure rows, completing t = n rows."""
+    if x.shape[1] < t:
+        x = np.column_stack([x, n * (n - 1) // 2 - x.sum(axis=1)])
+    return [tuple(row) for row in (x + 1).tolist()]
 
 
 def reach_set(net: Network, t: int, budget: int = DEFAULT_BUDGET) -> TupleSet:
     """Exactly the tuples reachable from (1,...,t) by some subsequence."""
-    codes, _, _ = _frontier_codes(net, t, budget)
-    return {decode_tuple(code, net.n, t) for code in codes.tolist()}
-
-
-def _missing_sample(codes: np.ndarray, n: int, t: int) -> tuple[CounterTuple, ...]:
-    reached = set(codes.tolist())
-    out: list[CounterTuple] = []
-    for x in itertools.permutations(range(1, n + 1), t):
-        if encode_tuple(x, n) not in reached:
-            out.append(x)
-            if len(out) == MISSING_SAMPLE_CAP:
-                break
-    return tuple(out)
+    reached, _, _ = _closure(net, t, budget)
+    arity = _closure_arity(net.n, t)
+    return set(_as_counter_tuples(_tuples(reached, net.n, arity), net.n, t))
 
 
 def verify_reachability(net: Network, t: int, budget: int = DEFAULT_BUDGET) -> ReachVerdict:
     """Decide t-reachability; a complete frontier ends the closure early."""
-    codes, required, steps = _frontier_codes(net, t, budget)
-    reached = len(codes)
-    ok = reached == required
-    missing = () if ok else _missing_sample(codes, net.n, t)
-    return ReachVerdict(ok, reached, required, missing, steps)
-
-
-def verify_permutation_network(net: Network, budget: int = DEFAULT_BUDGET) -> ReachVerdict:
-    """Reachability at arity t = n: every permutation of [n] realizable."""
-    return verify_reachability(net, net.n, budget)
+    reached, count, steps = _closure(net, t, budget)
+    required = math.perm(net.n, t)
+    ok = count == required
+    missing: tuple[CounterTuple, ...] = ()
+    if not ok:
+        arity = _closure_arity(net.n, t)
+        rows = _tuples(reached, net.n, arity, missing=True)
+        missing = tuple(_as_counter_tuples(rows, net.n, t))
+    return ReachVerdict(ok, count, required, missing, steps)
 
 
 def tuple_distribution(net: LazyNetwork, t: int, budget: int = DEFAULT_BUDGET) -> Distribution:

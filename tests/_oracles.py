@@ -1,9 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's frontier closure and push-forward
-code: reachability is decided by enumerating all 2^l subsequences, and
-lazy distributions by enumerating all 2^l fire patterns with exact
-rational weights.  Keep them naive.
+code: reachability is decided by enumerating all 2^l subsequences, or by
+the frontier closure over a plain Python set, and lazy distributions by
+enumerating all 2^l fire patterns with exact rational weights.  Keep
+them naive.  ``compose_subsequence`` is an independent route to
+``apply_transposition``: it tracks counters and positions, not tuples.
 
 ``oracle_min_length`` is the search engine that the bitmask search with a
 failed-frontier memo replaced: frozenset frontiers over a per-transposition
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from reachnet.core import (
     CounterTuple,
@@ -45,6 +48,39 @@ def naive_reach_set(net: Network, t: int) -> TupleSet:
 
     rec(0, start_tuple(t))
     return out
+
+
+def oracle_reach_set(net: Network, t: int) -> TupleSet:
+    """The frontier closure S <- S | tau(S) over a plain Python set, no early exit."""
+    reached: TupleSet = {start_tuple(t)}
+    for tau in net.seq:
+        reached |= {apply_transposition(tau, x) for x in reached}
+    return reached
+
+
+def compose_subsequence(net: Network, mask: Iterable[int]) -> tuple[int, ...]:
+    """Composite permutation of the selected transpositions, applied in order.
+
+    ``mask`` is a set of distinct 1-based indices into ``net.seq``; the
+    selected transpositions keep their sequence order.  Returns the full
+    permutation as a tuple p with p[j-1] = final position of the counter
+    that starts on position j.  An empty mask gives the identity.
+    """
+    indices = sorted(mask)
+    for prev, idx in zip(indices, indices[1:]):
+        if idx == prev:
+            raise ValueError(f"mask index {idx} selected twice")
+    n = net.n
+    pos = list(range(n + 1))  # pos[j] = current position of counter j
+    arr = list(range(n + 1))  # arr[p] = counter currently on position p
+    for idx in indices:
+        if not 1 <= idx <= len(net.seq):
+            raise IndexError(f"mask index {idx} out of range 1..{len(net.seq)}")
+        tau = net.seq[idx - 1]
+        ca, cb = arr[tau.a], arr[tau.b]
+        arr[tau.a], arr[tau.b] = cb, ca
+        pos[ca], pos[cb] = tau.b, tau.a
+    return tuple(pos[1:])
 
 
 def naive_lazy_distribution(net: LazyNetwork, t: int) -> dict[CounterTuple, Fraction]:

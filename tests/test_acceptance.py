@@ -26,7 +26,6 @@ from reachnet import (
     two_reach_star,
     two_reach_star_length,
     two_unif_star,
-    verify_permutation_network,
     verify_reachability,
     verify_uniformity,
     waksman_length,
@@ -100,18 +99,18 @@ def test_criterion_03_one_reachability_bound():
 
 def test_criterion_04_constructions_verify_to_40():
     failures = []
-    for n in range(2, 41):
+    for n in [*range(2, 41), 600]:
         net = two_reach(n)
         if len(net) != two_reach_length(n) or not verify_reachability(net, 2).ok:
             failures.append(f"two_reach({n})")
-    for n in range(3, 41):
+    for n in [*range(3, 41), 600]:
         net = two_reach_star(n)
         if len(net) != two_reach_star_length(n) or not net.is_star:
             failures.append(f"two_reach_star({n}) shape")
         elif not verify_reachability(net, 2).ok:
             failures.append(f"two_reach_star({n}) reach")
     report(4, not failures,
-           "two_reach (n<=40) and two_reach_star (n<=40) verify at t=2 with exact lengths"
+           "two_reach and two_reach_star (n<=40 and n=600) verify at t=2 with exact lengths"
            + ("; " + "; ".join(failures) if failures else ""))
 
 
@@ -120,12 +119,12 @@ def test_criterion_05_permutation_networks():
     for n in range(1, 65):
         if len(waksman_permutation_network(n)) != waksman_length(n):
             failures.append(f"length n={n}")
-    for n in range(1, 7):
-        if not verify_permutation_network(waksman_permutation_network(n)).ok:
+    for n in range(1, 10):
+        if not verify_reachability(waksman_permutation_network(n), n).ok:
             failures.append(f"completeness n={n}")
     report(5, not failures,
            "permutation network length = sum(ceil(log2 i)) for n<=64; all n! "
-           "permutations reachable for n<=6"
+           "permutations reachable for n<=9"
            + ("; " + "; ".join(failures) if failures else ""))
 
 

@@ -11,13 +11,14 @@ from reachnet import (
     ParseError,
     Transposition,
     apply_transposition,
-    compose_subsequence,
     decode_tuple,
     encode_tuple,
     parse_network,
     render_network,
     start_tuple,
 )
+
+from _oracles import compose_subsequence
 
 
 def test_transposition_canonical_order():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,13 +17,13 @@ from reachnet import (
     two_reach,
     two_reach_star,
     two_unif_star,
-    verify_permutation_network,
     verify_reachability,
     verify_uniformity,
     waksman_permutation_network,
 )
+from reachnet import verify
 
-from _oracles import naive_lazy_distribution, naive_reach_set
+from _oracles import naive_lazy_distribution, naive_reach_set, oracle_reach_set
 
 
 def test_reach_set_examples():
@@ -71,16 +73,16 @@ def test_reach_set_of_completed_network_is_unchanged_by_padding():
 
 
 def test_verify_permutation_network_examples():
-    v = verify_permutation_network(waksman_permutation_network(3))
+    v = verify_reachability(waksman_permutation_network(3), 3)
     assert v.ok and v.required == 6
-    assert verify_permutation_network(Network.from_pairs(2, [(1, 2)])).ok
-    v = verify_permutation_network(Network.from_pairs(3, [(1, 2), (1, 3)]))
+    assert verify_reachability(Network.from_pairs(2, [(1, 2)]), 2).ok
+    v = verify_reachability(Network.from_pairs(3, [(1, 2), (1, 3)]), 3)
     assert not v.ok and v.reached == 4
 
 
 def test_waksman_is_permutation_network_small():
     for n in range(1, 9):
-        assert verify_permutation_network(waksman_permutation_network(n)).ok
+        assert verify_reachability(waksman_permutation_network(n), n).ok
 
 
 def _random_network(rng, n, length):
@@ -209,9 +211,75 @@ def test_network_to_star_preserves_reach():
 def test_budget_and_arity_errors():
     with pytest.raises(BudgetExceededError):
         verify_reachability(two_reach(9), 2, budget=10)
+    # 81 dense cells exceed a budget of 72, so the 72 ranked cells are used
+    assert verify_reachability(two_reach(9), 2, budget=72).ok
+    with pytest.raises(BudgetExceededError):
+        verify_reachability(two_reach(9), 2, budget=71)
     with pytest.raises(BudgetExceededError):
         tuple_distribution(two_unif_star(9), 2, budget=10)
     with pytest.raises(ValueError):
         verify_reachability(two_reach(4), 5)
     with pytest.raises(ValueError):
         verify_reachability(two_reach(4), 0)
+
+
+def _layout_result(layout, net, t):
+    """(reached set, count, steps, missing sample) of one closure layout."""
+    reached, count, steps = layout(net, t)
+    n = net.n
+    tuples = verify._as_counter_tuples(verify._tuples(reached, n, t), n, t)
+    missing = verify._as_counter_tuples(verify._tuples(reached, n, t, missing=True), n, t)
+    return set(tuples), count, steps, tuple(missing)
+
+
+def _layout_cases():
+    rng = random.Random(3141)
+    cases = [(Network(1, ()), 1)] + [(one_reach(n), 1) for n in (2, 7, 12)]
+    cases += [(two_reach(n), 2) for n in (2, 5, 9, 12)]
+    cases += [(two_reach_star(n), 2) for n in (3, 8, 11)]
+    for n in range(2, 7):
+        net = waksman_permutation_network(n)
+        cases += [(net, t) for t in (n - 1, n) if t <= 5]
+    for net, t in list(cases):
+        if len(net) > 1:  # one transposition fewer: mostly FAIL
+            seq = list(net.seq)
+            del seq[rng.randrange(len(seq))]
+            cases.append((Network(net.n, tuple(seq)), t))
+    while len(cases) < 120:
+        n = rng.randint(2, 12)
+        t = rng.randint(1, min(5, n))
+        if math.perm(n, t) <= 12000:
+            cases.append((_random_network(rng, n, rng.randint(0, 3 * n)), t))
+    return cases
+
+
+def test_closure_layouts_match_set_oracle():
+    verdicts = set()
+    arities = set()
+    for net, t in _layout_cases():
+        n = net.n
+        ref = oracle_reach_set(net, t)
+        required = math.perm(n, t)
+        missing = tuple(
+            x for x in itertools.permutations(range(1, n + 1), t) if x not in ref
+        )[: verify.MISSING_SAMPLE_CAP]
+        dense = _layout_result(verify._dense_closure, net, t)
+        ranked = _layout_result(verify._ranked_closure, net, t)
+        assert dense == ranked, (n, t, net.seq)
+        tuples, count, steps, sample = dense
+        assert (tuples, count, sample) == (ref, len(ref), missing)
+        ok = count == required
+        if ok:  # steps_used is the first prefix whose closure is complete
+            assert len(oracle_reach_set(Network(n, net.seq[:steps]), t)) == required
+            if steps:
+                assert len(oracle_reach_set(Network(n, net.seq[: steps - 1]), t)) < required
+        else:
+            assert steps == len(net)
+        if t == n > 1:  # t = n runs as n-1 with the same counts and steps
+            for layout in (verify._dense_closure, verify._ranked_closure):
+                assert layout(net, n - 1)[1:] == (count, steps)
+        v = verify_reachability(net, t)
+        assert (v.ok, v.reached, v.steps_used, v.missing_sample) == (ok, count, steps, missing)
+        verdicts.add(ok)
+        arities.add(t - n)
+    assert verdicts == {True, False} and {-1, 0} <= arities
