@@ -22,7 +22,6 @@ from .constructors import (
     one_reach,
     phase_count,
     sample_support,
-    t_reach_random,
     t_reach_random_full,
     two_reach,
     two_reach_length,
@@ -41,7 +40,6 @@ from .core import (
     Transposition,
     TupleSet,
     apply_transposition,
-    decode_tuple,
     encode_tuple,
     parse_network,
     render_network,

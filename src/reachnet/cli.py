@@ -41,12 +41,14 @@ class UsageError(ValueError):
 def _gen_random(args: argparse.Namespace) -> tuple[Network, list[str]]:
     if args.t is None:
         raise UsageError("t-reach-random requires -t")
+    # only a given --max-retries is passed, so the dataclass holds the default
+    retries = {} if args.max_retries is None else {"max_retries": args.max_retries}
     params = RandomConstructionParams(
         t=args.t,
         n=args.n,
         seed=args.seed if args.seed is not None else 0,
         epsilon=Fraction(args.epsilon) if args.epsilon is not None else None,
-        max_retries=args.max_retries if args.max_retries is not None else 64,
+        **retries,
     )
     built = t_reach_random_full(params)
     return built.network, [f"# seed {params.seed}", f"# retries {built.retries}"]

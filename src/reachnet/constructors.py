@@ -8,7 +8,8 @@ permutation network of length sum(ceil(log2 i)), and the exactly
 
 Randomized family: a t-reachability network assembled from a random
 bipartite support graph whose left vertices each get two uniform right
-neighbors; accepted supports satisfy Hall's matching condition at scale t.
+neighbors (phases); accepted supports satisfy Hall's matching condition at
+scale t, checked over the sets of at most t-1 phases.
 """
 
 from __future__ import annotations
@@ -264,10 +265,6 @@ class BipartiteSupport:
             if len(pair) != 2 or any(not 1 <= i <= self.num_phases for i in pair):
                 raise ValueError(f"phase indices must lie in 1..{self.num_phases}, got {pair}")
 
-    def neighbors(self, j: int) -> frozenset[int]:
-        """Distinct right neighbors of left vertex a_j (t < j <= n)."""
-        return frozenset(self.phases_of[j - self.t - 1])
-
 
 def sample_support(params: RandomConstructionParams, rng: random.Random) -> BipartiteSupport:
     """Two uniformly random right neighbors per left vertex."""
@@ -281,17 +278,18 @@ def sample_support(params: RandomConstructionParams, rng: random.Random) -> Bipa
 def check_expansion(g: BipartiteSupport, t: int) -> bool:
     """Hall's condition at scale t: every <= t left vertices are matchable.
 
-    Direct enumeration: each subset of 2..t left vertices must see at
-    least as many distinct right vertices (singletons hold automatically,
-    every left vertex having degree >= 1).
+    Checked over sets W of at most t-1 right vertices (phases): Hall fails
+    exactly when some W holds more than |W| left vertices, a left vertex
+    being held by W when both its picks lie in W.  If a set S of at most t
+    left vertices has |N(S)| < |S|, then W = N(S) has at most t-1 phases
+    and holds all of S, more than |W| left vertices.  Conversely, any
+    |W|+1 left vertices held by such a W form a set S of at most t left
+    vertices with N(S) inside W, so |N(S)| <= |W| < |S|.  Singletons
+    always pass, each left vertex having a pick; the empty W holds none.
     """
-    hoods = [g.neighbors(j) for j in range(g.t + 1, g.n + 1)]
-    for s in range(2, t + 1):
-        for subset in itertools.combinations(hoods, s):
-            union: set[int] = set()
-            for h in subset:
-                union |= h
-            if len(union) < s:
+    for s in range(1, t):
+        for w in itertools.combinations(range(1, g.num_phases + 1), s):
+            if sum(a in w and b in w for a, b in g.phases_of) > s:
                 return False
     return True
 
@@ -337,8 +335,3 @@ def t_reach_random_full(params: RandomConstructionParams) -> RandomConstruction:
     tail = network_to_star(waksman_permutation_network(t))
     pairs += [(tau.a, tau.b) for tau in tail.seq]
     return RandomConstruction(Network.from_pairs(n, pairs), support, retries)
-
-
-def t_reach_random(params: RandomConstructionParams) -> Network:
-    """Randomized t-reachability network; deterministic for a fixed seed."""
-    return t_reach_random_full(params).network

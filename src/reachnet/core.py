@@ -151,20 +151,13 @@ def encode_tuple(x: CounterTuple, n: int) -> int:
     """Mixed-radix (base n, big-endian) encoding of a counter tuple.
 
     The encoding is a bijection from [n]^t onto 0..n^t-1 that preserves
-    lexicographic order, so frontier sets can be kept as sorted integers.
+    lexicographic order; the search uses the codes as bit positions of its
+    frontier masks.
     """
     code = 0
     for e in x:
         code = code * n + (e - 1)
     return code
-
-
-def decode_tuple(code: int, n: int, t: int) -> CounterTuple:
-    out = [0] * t
-    for i in range(t - 1, -1, -1):
-        code, d = divmod(code, n)
-        out[i] = d + 1
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

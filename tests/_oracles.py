@@ -13,14 +13,20 @@ code table, no memo.  It is kept to pin minima, witnesses, exhausted levels
 and node counts of the library search.  With ``prune=False`` it drops all
 four of the library's fixed prune rules and searches every sequence, the
 soundness reference for those rules.
+
+``oracle_check_expansion`` is the left-side Hall check that the phase-side
+``check_expansion`` replaced: it enumerates every set of 2..t left vertices
+and compares the size of its neighbourhood with its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable
 
+from reachnet.constructors import BipartiteSupport
 from reachnet.core import (
     CounterTuple,
     LazyNetwork,
@@ -218,3 +224,21 @@ def oracle_min_length(spec: SearchSpec, prune: bool = True) -> SearchResult:
         exhausted.append(level)
         level += 1
     raise CapExhaustedError(f"no network of length <= {spec.max_len}")
+
+
+def oracle_check_expansion(g: BipartiteSupport, t: int) -> bool:
+    """Hall's condition at scale t: every <= t left vertices are matchable.
+
+    Direct enumeration: each subset of 2..t left vertices must see at
+    least as many distinct right vertices (singletons hold automatically,
+    every left vertex having degree >= 1).
+    """
+    hoods = [frozenset(pair) for pair in g.phases_of]
+    for s in range(2, t + 1):
+        for subset in itertools.combinations(hoods, s):
+            union: set[int] = set()
+            for h in subset:
+                union |= h
+            if len(union) < s:
+                return False
+    return True

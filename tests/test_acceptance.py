@@ -129,25 +129,29 @@ def test_criterion_05_permutation_networks():
 
 
 def test_criterion_06_randomized_t_reachability():
-    t = 3
+    # (t, n values, arity verified); t=5 is verified at t=3 to stay in tier-1 time
+    rows = [(3, (20, 30, 50), 3), (4, (20, 30), 4), (5, (30,), 3)]
     failures = []
-    tail_len = len(network_to_star(waksman_permutation_network(t)))
-    for n in (20, 30, 50):
-        for seed in range(1, 6):
-            params = RandomConstructionParams(t=t, n=n, seed=seed)
-            built = t_reach_random_full(params)  # raises if retries exhausted
-            L = params.phase_count
-            want = (t - 1) * L + 2 * (n - t) + tail_len
-            if len(built.network) != want:
-                failures.append(f"n={n} seed={seed}: length {len(built.network)} != {want}")
-            counts = Counter((tau.a, tau.b) for tau in built.network.seq[:-tail_len])
-            if any(counts[(1, j)] != 2 for j in range(t + 1, n + 1)):
-                failures.append(f"n={n} seed={seed}: some (1,j) not used exactly twice")
-            if not verify_reachability(built.network, t).ok:
-                failures.append(f"n={n} seed={seed}: not {t}-reachable")
+    for t, ns, vt in rows:
+        tail_len = len(network_to_star(waksman_permutation_network(t)))
+        for n in ns:
+            for seed in range(1, 6):
+                params = RandomConstructionParams(t=t, n=n, seed=seed)
+                built = t_reach_random_full(params)  # raises if retries exhausted
+                L = params.phase_count
+                want = (t - 1) * L + 2 * (n - t) + tail_len
+                where = f"t={t} n={n} seed={seed}"
+                if len(built.network) != want:
+                    failures.append(f"{where}: length {len(built.network)} != {want}")
+                counts = Counter((tau.a, tau.b) for tau in built.network.seq[:-tail_len])
+                if any(counts[(1, j)] != 2 for j in range(t + 1, n + 1)):
+                    failures.append(f"{where}: some (1,j) not used exactly twice")
+                if not verify_reachability(built.network, vt).ok:
+                    failures.append(f"{where}: not {vt}-reachable")
     report(6, not failures,
-           "randomized construction: 15/15 builds (t=3; n=20,30,50; seeds 1-5) "
-           "verify at t=3 with exact length (t-1)L + 2(n-t) + tail"
+           "randomized construction: 30/30 builds (t=3, n=20,30,50; t=4, n=20,30; "
+           "t=5, n=30; seeds 1-5) have exact length (t-1)L + 2(n-t) + tail, use each "
+           "(1,j) twice, and verify at t (t=5 at t=3)"
            + ("; " + "; ".join(failures) if failures else ""))
 
 

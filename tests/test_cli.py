@@ -63,6 +63,25 @@ def test_gen_retries_exhausted_exit_3(capsys):
     assert code == 3 and "expansion" in err
 
 
+def test_gen_max_retries_default_and_zero(monkeypatch, capsys):
+    from reachnet import RandomConstructionParams, cli
+
+    seen = []
+    build = cli.t_reach_random_full
+
+    def spy(params):
+        seen.append(params.max_retries)
+        return build(params)
+
+    monkeypatch.setattr(cli, "t_reach_random_full", spy)
+    argv = ["gen", "--family", "t-reach-random", "-n", "20", "-t", "3", "--seed", "1"]
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--max-retries", "5")[0] == 0
+    assert seen == [RandomConstructionParams(t=3, n=20, seed=1).max_retries, 5]
+    code, _, err = run(capsys, *argv, "--max-retries", "0")
+    assert code == 2 and "max_retries" in err
+
+
 def test_gen_rejects_irrelevant_flags(capsys):
     code, _, err = run(capsys, "gen", "--family", "two-reach", "-n", "9", "--seed", "1")
     assert code == 2 and "t-reach-random" in err

@@ -16,7 +16,6 @@ from reachnet import (
     one_reach,
     phase_count,
     sample_support,
-    t_reach_random,
     t_reach_random_full,
     two_reach,
     two_reach_length,
@@ -27,6 +26,8 @@ from reachnet import (
     waksman_permutation_network,
 )
 from reachnet.core import LazyNetwork
+
+from _oracles import oracle_check_expansion
 
 
 def pairs(net):
@@ -192,6 +193,68 @@ def test_check_expansion_accepts_disjoint_spread():
     assert check_expansion(g, 3)
 
 
+@pytest.mark.parametrize(
+    "phases_of, last_pass, fails_at",
+    [
+        (((1, 1), (1, 1)), 1, 2),  # two loops on one phase
+        (((1, 2), (1, 2), (1, 2)), 2, 3),  # three left vertices on one pair
+        (((1, 2), (2, 3), (3, 1), (1, 2)), 3, 4),  # two cycles on three phases
+    ],
+    ids=["two-loops", "three-on-a-pair", "bicyclic"],
+)
+def test_check_expansion_boundary(phases_of, last_pass, fails_at):
+    # extra left vertices on fresh phases change nothing: W never holds them
+    pad = tuple((10 + 2 * i, 11 + 2 * i) for i in range(3))
+    g = BipartiteSupport(
+        t=fails_at, n=fails_at + len(phases_of) + 3, num_phases=16, phases_of=phases_of + pad
+    )
+    for s in range(2, fails_at + 2):
+        want = s <= last_pass
+        assert check_expansion(g, s) is want
+        assert oracle_check_expansion(g, s) is want
+
+
+def test_check_expansion_matches_left_side_oracle():
+    # >= 2000 supports per t, checked at every scale 2..t; small L makes
+    # loops common, and L < t lets W be every phase
+    rng = random.Random(2024)
+    for t in range(2, 7):
+        verdicts = set()
+        for _ in range(2000):
+            L = rng.randint(1, t + 4)
+            m = rng.randint(1, 10)
+            pairs = tuple((rng.randint(1, L), rng.randint(1, L)) for _ in range(m))
+            g = BipartiteSupport(t=t, n=t + m, num_phases=L, phases_of=pairs)
+            for s in range(2, t + 1):
+                got = check_expansion(g, s)
+                assert got == oracle_check_expansion(g, s), (t, s, g)
+                verdicts.add((L < t, got))
+        assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+def test_t_reach_random_replays_with_oracle(t):
+    # the sampler plus the left-side check picks the builder's support and retry count
+    outcomes = set()
+    for seed in range(20):
+        params = RandomConstructionParams(t=t, n=4 * t + seed % 5, seed=seed, max_retries=4)
+        rng = random.Random(seed)
+        want = None
+        for attempt in range(params.max_retries):
+            g = sample_support(params, rng)
+            if oracle_check_expansion(g, t):
+                want = (g, attempt)
+                break
+        if want is None:
+            with pytest.raises(RetriesExceededError):
+                t_reach_random_full(params)
+        else:
+            built = t_reach_random_full(params)
+            assert (built.support, built.retries) == want
+        outcomes.add("exhausted" if want is None else min(want[1], 1))
+    assert outcomes == {0, 1, "exhausted"}  # first-try, retried and exhausted builds
+
+
 def test_sample_support_shape():
     params = RandomConstructionParams(t=3, n=12, seed=5)
     g = sample_support(params, random.Random(5))
@@ -201,9 +264,9 @@ def test_sample_support_shape():
 
 def test_t_reach_random_deterministic():
     params = RandomConstructionParams(t=3, n=20, seed=42)
-    assert t_reach_random(params) == t_reach_random(params)
+    assert t_reach_random_full(params).network == t_reach_random_full(params).network
     other = RandomConstructionParams(t=3, n=20, seed=43)
-    assert t_reach_random(params) != t_reach_random(other)
+    assert t_reach_random_full(params).network != t_reach_random_full(other).network
 
 
 def test_t_reach_random_structure():
@@ -249,4 +312,4 @@ def test_t_reach_random_retries_exhausted():
     assert bad_seed is not None, "no rejecting support found; loosen the scan"
     params = RandomConstructionParams(t=3, n=20, seed=bad_seed, max_retries=1)
     with pytest.raises(RetriesExceededError):
-        t_reach_random(params)
+        t_reach_random_full(params)
