@@ -42,6 +42,7 @@ from .core import (
     apply_transposition,
     encode_tuple,
     parse_network,
+    rational,
     render_network,
     start_tuple,
 )

@@ -1,9 +1,9 @@
 """Structural diagnostics: edge coloring, deficits, occurrence classes.
 
-The coloring replays a network against two root positions.  A position
-activates on its first appearance alongside an active one; the edge is
-black when it activates something (a tree edge) and red when both
-endpoints were already active.  One convention beyond the raw rule: the
+The coloring replays a network against the root positions 1 and 2, so it
+needs n >= 2.  A position activates on its first appearance alongside an
+active one; the edge is black when it activates something (a tree edge)
+and red when both endpoints were already active.  One convention beyond the raw rule: the
 first edge joining the two root trees is colored black and recorded as
 the join edge, which makes the black edges a spanning tree rooted at the
 root pair on well-formed inputs.  The analyzer never rewrites the input
@@ -20,6 +20,8 @@ from .core import Network
 BLACK = "black"
 RED = "red"
 BLUE = "blue"
+
+ROOTS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,6 @@ class EdgeRecord:
 @dataclass(frozen=True)
 class EdgeColoring:
     n: int
-    roots: tuple[int, int]
     edges: tuple[EdgeRecord, ...]
     activation_order: tuple[tuple[int, int], ...]  # (position, edge index)
     parent: dict[int, int]  # black-forest parent map over activated positions
@@ -59,7 +60,7 @@ class EdgeColoring:
 
     @property
     def active(self) -> frozenset[int]:
-        return frozenset(self.roots) | frozenset(v for v, _ in self.activation_order)
+        return frozenset(ROOTS) | frozenset(v for v, _ in self.activation_order)
 
     @property
     def spanning(self) -> bool:
@@ -88,17 +89,16 @@ class EdgeColoring:
         return "\n".join(lines)
 
 
-def color_edges(net: Network, roots: tuple[int, int] = (1, 2)) -> EdgeColoring:
+def color_edges(net: Network) -> EdgeColoring:
     """Replay the sequence, activating on first contact and coloring edges.
 
     Edges between two inactive positions are flagged removable: they can
     never move a counter, so a shorter equivalent network drops them.
     """
-    r1, r2 = roots
-    if r1 == r2 or min(r1, r2) < 1 or max(r1, r2) > net.n:
-        raise ValueError(f"roots must be two distinct positions in [{net.n}], got {roots}")
-    active = {r1, r2}
-    tree = {r1: 0, r2: 1}
+    if net.n < 2:
+        raise ValueError(f"the coloring is rooted at positions 1 and 2, so n >= 2, got n={net.n}")
+    active = set(ROOTS)
+    tree = {1: 0, 2: 1}
     joined = False
     parent: dict[int, int] = {}
     records: list[EdgeRecord] = []
@@ -127,7 +127,7 @@ def color_edges(net: Network, roots: tuple[int, int] = (1, 2)) -> EdgeColoring:
             color = BLACK  # raw rule: an endpoint was inactive
             removable = True
         records.append(EdgeRecord(i, a, b, color, activated, removable, root_join))
-    return EdgeColoring(net.n, (r1, r2), tuple(records), tuple(activation), parent, joined)
+    return EdgeColoring(net.n, tuple(records), tuple(activation), parent, joined)
 
 
 @dataclass(frozen=True)
@@ -165,14 +165,14 @@ class DeficitReport:
         return "\n".join(lines)
 
 
-def deficit_report(net: Network, roots: tuple[int, int] = (1, 2)) -> DeficitReport:
+def deficit_report(net: Network) -> DeficitReport:
     """Per-position subtree sizes, red-degree sums, and deficits.
 
     The subtree of v is everything whose black path to the root pair
     passes through v; deficit(v) = |T_v| - sum of red degrees over T_v.
     Positions never activated are left out and flagged in the warning.
     """
-    coloring = color_edges(net, roots)
+    coloring = color_edges(net)
     red = coloring.red_degrees()
     children: dict[int, list[int]] = {}
     for child, par in coloring.parent.items():
@@ -182,7 +182,7 @@ def deficit_report(net: Network, roots: tuple[int, int] = (1, 2)) -> DeficitRepo
     redsum: dict[int, int] = {}
     # children are activated after their parent, so reverse activation
     # order visits every subtree bottom-up; roots come last
-    order = [v for v, _ in reversed(coloring.activation_order)] + list(coloring.roots)
+    order = [v for v, _ in reversed(coloring.activation_order)] + list(ROOTS)
     for v in order:
         size[v] = 1 + sum(size[c] for c in children.get(v, ()))
         redsum[v] = red.get(v, 0) + sum(redsum[c] for c in children.get(v, ()))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .analyze import color_edges, deficit_report, star_occurrence_classes
@@ -26,7 +25,7 @@ from .constructors import (
     two_unif_star,
     waksman_permutation_network,
 )
-from .core import LazyNetwork, Network, parse_network, render_network
+from .core import LazyNetwork, Network, parse_network, rational, render_network
 from .errors import BudgetExceededError, CapExhaustedError, RetriesExceededError
 from .search import SearchSpec, min_length
 from .verify import DEFAULT_BUDGET, verify_reachability, verify_uniformity
@@ -47,7 +46,7 @@ def _gen_random(args: argparse.Namespace) -> tuple[Network, list[str]]:
         t=args.t,
         n=args.n,
         seed=args.seed if args.seed is not None else 0,
-        epsilon=Fraction(args.epsilon) if args.epsilon is not None else None,
+        epsilon=args.epsilon,
         **retries,
     )
     built = t_reach_random_full(params)
@@ -83,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-t", type=int, default=None, help="arity (t-reach-random only)")
     gen.add_argument("--seed", type=int, default=None, help="RNG seed (t-reach-random only)")
     gen.add_argument(
-        "--epsilon", default=None, metavar="NUM/DEN", help="exponent margin (t-reach-random only)"
+        "--epsilon", type=rational, default=None, metavar="NUM/DEN",
+        help="exponent margin (t-reach-random only)",
     )
     gen.add_argument(
         "--max-retries", type=int, default=None, help="support resamples (t-reach-random only)"

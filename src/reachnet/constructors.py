@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import LazyNetwork, LazyTransposition, Network, Transposition
+from .core import LazyNetwork, LazyTransposition, Network, Transposition, rational
 from .errors import RetriesExceededError
 
 
@@ -186,28 +186,23 @@ def two_unif_star(n: int) -> LazyNetwork:
 
 
 def iroot(x: int, k: int) -> int:
-    """Floor of the k-th root of x, exact integer Newton iteration."""
+    """Floor of the k-th root of x, by exact integer bisection."""
     if x < 0 or k < 1:
         raise ValueError(f"iroot needs x >= 0 and k >= 1, got ({x}, {k})")
-    if k == 1 or x in (0, 1):
-        return x
-    # 2^ceil(bits/k) overestimates the root; Newton then decreases monotonically
-    r = 1 << -(-x.bit_length() // k)
-    while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
-            break
-        r = nr
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    # invariant lo^k <= x < hi^k; x < 2^bits, so hi = 2^ceil(bits/k) starts above
+    lo, hi = 0, 1 << -(-x.bit_length() // k)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def phase_count(n: int, epsilon: Fraction) -> int:
     """L = floor(n^(1-epsilon)), computed by integer root, never floats."""
-    exp = 1 - Fraction(epsilon)
+    exp = 1 - rational(epsilon)
     if not 0 < exp < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     return iroot(n**exp.numerator, exp.denominator)
@@ -233,7 +228,7 @@ class RandomConstructionParams:
             raise ValueError(f"randomized construction needs t >= 3, got t={self.t}")
         if self.n <= self.t:
             raise ValueError(f"randomized construction needs n > t, got n={self.n}, t={self.t}")
-        eps = Fraction(self.epsilon) if self.epsilon is not None else default_epsilon(self.t)
+        eps = rational(self.epsilon) if self.epsilon is not None else default_epsilon(self.t)
         object.__setattr__(self, "epsilon", eps)
         if not 0 < eps < Fraction(1, self.t + 1):
             raise ValueError(f"epsilon must lie in (0, 1/{self.t + 1}), got {eps}")

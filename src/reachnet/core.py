@@ -23,6 +23,30 @@ TupleSet = set[CounterTuple]
 Distribution = dict[CounterTuple, Fraction]
 
 
+def rational(value: Union[Fraction, int, str]) -> Fraction:
+    """A Fraction, an int, or ASCII ``<digits>/<digits>`` with a nonzero
+    denominator, as a Fraction; anything else raises ValueError."""
+    if isinstance(value, (Fraction, int)):
+        return Fraction(value)
+    if isinstance(value, str) and value.isascii():  # so isdigit() means 0-9
+        num, slash, den = value.partition("/")
+        if slash and num.isdigit() and den.isdigit() and int(den):
+            return Fraction(int(num), int(den))
+    raise ValueError(f"expected an exact rational <num>/<den>, got {value!r}")
+
+
+def check_arity(n: int, t: int) -> None:
+    """Counters sit on distinct positions, so 1 <= t <= n."""
+    if not 1 <= t <= n:
+        raise ValueError(f"arity must satisfy 1 <= t <= n, got t={t}, n={n}")
+
+
+def closure_arity(n: int, t: int) -> int:
+    """Arity a closure over injective tuples runs at: an injective n-tuple is
+    fixed by its first n-1 entries, so t = n > 1 runs as n-1."""
+    return n - 1 if t == n > 1 else t
+
+
 class _Pair:
     """Checks and canonical order shared by plain and lazy transpositions."""
 
@@ -38,10 +62,6 @@ class _Pair:
         if a > b:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
-
-    @property
-    def is_star(self) -> bool:
-        return self.a == 1
 
 
 @dataclass(frozen=True, order=True)
@@ -68,7 +88,7 @@ class LazyTransposition(_Pair):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        p = Fraction(self.p)
+        p = rational(self.p)
         object.__setattr__(self, "p", p)
         if not 0 <= p <= 1:
             raise ValueError(f"firing probability must lie in [0, 1], got {p}")
@@ -122,7 +142,7 @@ class LazyNetwork(_Sequence):
     def from_triples(
         cls, n: int, triples: Iterable[tuple[int, int, Union[Fraction, int, str]]]
     ) -> "LazyNetwork":
-        return cls(n, tuple(LazyTransposition(a, b, Fraction(p)) for a, b, p in triples))
+        return cls(n, tuple(LazyTransposition(a, b, p) for a, b, p in triples))
 
     def strip(self) -> Network:
         """Drop probabilities, keeping the bare transposition sequence."""
@@ -231,32 +251,21 @@ def parse_network(text: str) -> AnyNetwork:
         raise ParseError("missing 'kind plain|lazy' line") from None
     if len(tok) != 2 or tok[0] != "kind" or tok[1] not in ("plain", "lazy"):
         raise fail(lineno, f"expected 'kind plain|lazy', got {' '.join(tok)!r}")
-    lazy = tok[1] == "lazy"
+    kind = tok[1]
+    lazy = kind == "lazy"
 
-    plain_seq: list[Transposition] = []
-    lazy_seq: list[LazyTransposition] = []
+    shape = "<a> <b> <num>/<den>" if lazy else "<a> <b>"
+    seq: list[_Pair] = []
     for lineno, tok in it:
+        if not (len(tok) == 2 + lazy and tok[0].isdigit() and tok[1].isdigit()):
+            raise fail(lineno, f"{kind} entries need '{shape}', got {' '.join(tok)!r}")
         try:
-            if lazy:
-                num, slash, den = tok[-1].partition("/")
-                if not (len(tok) == 3 and tok[0].isdigit() and tok[1].isdigit()
-                        and slash and num.isdigit() and den.isdigit()):
-                    raise fail(lineno, "lazy entries need '<a> <b> <num>/<den>', "
-                               f"got {' '.join(tok)!r}")
-                p = Fraction(int(num), int(den))
-                lazy_seq.append(LazyTransposition(int(tok[0]), int(tok[1]), p))
-            else:
-                if not (len(tok) == 2 and tok[0].isdigit() and tok[1].isdigit()):
-                    raise fail(lineno, f"plain entries need '<a> <b>', got {' '.join(tok)!r}")
-                plain_seq.append(Transposition(int(tok[0]), int(tok[1])))
-        except (ValueError, ZeroDivisionError) as exc:
-            if isinstance(exc, ParseError):
-                raise
+            a, b = int(tok[0]), int(tok[1])
+            seq.append(LazyTransposition(a, b, tok[2]) if lazy else Transposition(a, b))
+        except ValueError as exc:
             raise fail(lineno, str(exc)) from None
 
     try:
-        if lazy:
-            return LazyNetwork(n, tuple(lazy_seq))
-        return Network(n, tuple(plain_seq))
+        return (LazyNetwork if lazy else Network)(n, tuple(seq))
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Network, encode_tuple, start_tuple
+from .core import Network, check_arity, closure_arity, encode_tuple, start_tuple
 from .errors import BudgetExceededError, CapExhaustedError
 
 
@@ -42,8 +42,7 @@ class SearchSpec:
     budget: int | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.t <= self.n:
-            raise ValueError(f"need 1 <= t <= n, got t={self.t}, n={self.n}")
+        check_arity(self.n, self.t)
         if self.budget is not None and self.budget < 1:
             raise ValueError("node budget must be positive")
 
@@ -109,10 +108,8 @@ class _Searcher:
     """
 
     def __init__(self, n: int, t: int, star_only: bool, budget: int | None):
-        if t == n:
-            # an injective n-tuple is fixed by its first n-1 points: the
-            # search tree is the same over n-fold smaller masks
-            t -= 1
+        # t = n searches the same tree over n-fold smaller masks
+        t = closure_arity(n, t)
         self.n = n
         self.t = t
         self.star_only = star_only
@@ -202,7 +199,7 @@ def exists_network(
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    SearchSpec(n, t, star_only)  # validate n, t
+    check_arity(n, t)
     return _Searcher(n, t, star_only, budget).run(length)
 
 

@@ -41,6 +41,8 @@ from .core import (
     Network,
     TupleSet,
     apply_transposition,
+    check_arity,
+    closure_arity,
     start_tuple,
 )
 from .errors import BudgetExceededError
@@ -103,19 +105,13 @@ class UniformityVerdict:
 
 
 def _required_tuples(n: int, t: int, budget: int) -> int:
-    if not 1 <= t <= n:
-        raise ValueError(f"arity must satisfy 1 <= t <= n, got t={t}, n={n}")
+    check_arity(n, t)
     required = math.perm(n, t)
     if required > budget:
         raise BudgetExceededError(
             f"{required} tuples exceed the state budget {budget} (n={n}, t={t})"
         )
     return required
-
-
-def _closure_arity(n: int, t: int) -> int:
-    """Arity the closure runs at: t = n > 1 runs as n-1."""
-    return n - 1 if t == n > 1 else t
 
 
 def _dense_closure(net: Network, t: int) -> tuple[np.ndarray, int, int]:
@@ -201,7 +197,7 @@ def _ranked_closure(net: Network, t: int) -> tuple[np.ndarray, int, int]:
 def _closure(net: Network, t: int, budget: int) -> tuple[np.ndarray, int, int]:
     """Run the closure in the layout the ratio rule picks."""
     required = _required_tuples(net.n, t, budget)
-    arity = _closure_arity(net.n, t)
+    arity = closure_arity(net.n, t)
     cells = net.n**arity
     dense = cells <= DENSE_RATIO * required and cells <= budget
     return (_dense_closure if dense else _ranked_closure)(net, arity)
@@ -244,7 +240,7 @@ def _as_counter_tuples(x: np.ndarray, n: int, t: int) -> list[CounterTuple]:
 def reach_set(net: Network, t: int, budget: int = DEFAULT_BUDGET) -> TupleSet:
     """Exactly the tuples reachable from (1,...,t) by some subsequence."""
     reached, _, _ = _closure(net, t, budget)
-    arity = _closure_arity(net.n, t)
+    arity = closure_arity(net.n, t)
     return set(_as_counter_tuples(_tuples(reached, net.n, arity), net.n, t))
 
 
@@ -255,7 +251,7 @@ def verify_reachability(net: Network, t: int, budget: int = DEFAULT_BUDGET) -> R
     ok = count == required
     missing: tuple[CounterTuple, ...] = ()
     if not ok:
-        arity = _closure_arity(net.n, t)
+        arity = closure_arity(net.n, t)
         rows = _tuples(reached, net.n, arity, missing=True)
         missing = tuple(_as_counter_tuples(rows, net.n, t))
     return ReachVerdict(ok, count, required, missing, steps)

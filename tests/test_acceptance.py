@@ -249,3 +249,19 @@ def test_criterion_10_simulation_fidelity():
            "star simulation preserves exact tuple distributions and reachability "
            "on 200 random lazy networks (n<=5, t<=2, l<=6)"
            + ("; " + "; ".join(failures[:3]) if failures else ""))
+
+
+def test_criterion_11_exact_minimums_star_three():
+    expected = {3: 3, 4: 6, 5: 8, 6: 10, 7: 12}
+    failures = []
+    for n, value in expected.items():
+        r = min_length(SearchSpec(n, 3, star_only=True))
+        if r.min_length != value:
+            failures.append(f"n={n}: got {r.min_length}, want {value}")
+        if r.exhausted_levels != tuple(range(n - 1, value)):
+            failures.append(f"n={n}: exhausted levels {r.exhausted_levels}")
+        if not (r.witness.is_star and verify_reachability(r.witness, 3).ok):
+            failures.append(f"n={n}: witness invalid")
+    report(11, not failures, "min star 3-reachability lengths [3, 6, 8, 10, 12] for n=3..7, "
+           "every level from n-1 up to the minimum exhausted"
+           + ("; " + "; ".join(failures) if failures else ""))

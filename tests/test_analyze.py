@@ -55,7 +55,7 @@ def test_black_forest_shape():
         # every activated vertex hangs below exactly one root
         for v, _ in col.activation_order:
             hops = 0
-            while v not in col.roots:
+            while v not in (1, 2):
                 v = col.parent[v]
                 hops += 1
                 assert hops <= net.n
@@ -156,13 +156,11 @@ def test_red_at_least_black_on_verified_star_networks():
     assert checked >= 20
 
 
-def test_roots_validation():
-    with pytest.raises(ValueError):
-        color_edges(two_reach(4), roots=(1, 1))
-    with pytest.raises(ValueError):
-        color_edges(two_reach(4), roots=(0, 2))
-    with pytest.raises(ValueError):
-        color_edges(two_reach(4), roots=(1, 5))
+def test_coloring_needs_positions_1_and_2():
+    for report in (color_edges, deficit_report):
+        with pytest.raises(ValueError, match="positions 1 and 2"):
+            report(Network(1, ()))
+        assert report(Network(2, ())).render().startswith("black 0\nred 0")
 
 
 def test_render_formats():

@@ -1,8 +1,17 @@
 import io
+from fractions import Fraction
 
 import pytest
 
-from reachnet import LazyNetwork, Network, parse_network, two_reach, verify_reachability
+from reachnet import (
+    LazyNetwork,
+    Network,
+    RandomConstructionParams,
+    parse_network,
+    t_reach_random_full,
+    two_reach,
+    verify_reachability,
+)
 from reachnet.cli import FAMILIES, build_parser, main
 
 
@@ -94,6 +103,26 @@ def test_gen_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "gen", "--family", "t-reach-random", "-n", "30")
     assert code == 2 and "-t" in err
+
+
+@pytest.mark.parametrize("eps", ["1/0", "0.1", "1e-1", "1/5 ", "1", "-1/5"])
+def test_gen_epsilon_takes_num_den_only(capsys, eps):
+    code, out, err = run(
+        capsys, "gen", "--family", "t-reach-random", "-n", "30", "-t", "3", "--epsilon", eps
+    )
+    assert code == 2 and out == ""
+    assert "--epsilon" in err and "Traceback" not in err
+
+
+def test_gen_epsilon_num_den(capsys):
+    code, out, _ = run(
+        capsys, "gen", "--family", "t-reach-random", "-n", "30", "-t", "3",
+        "--epsilon", "1/6", "--seed", "2",
+    )
+    built = t_reach_random_full(
+        RandomConstructionParams(t=3, n=30, seed=2, epsilon=Fraction(1, 6))
+    )
+    assert code == 0 and parse_network(out) == built.network
 
 
 def test_every_family_gen_then_verify(tmp_path, capsys):
@@ -226,6 +255,15 @@ def test_analyze_rejects_lazy_input(tmp_path, capsys):
     path.write_text("reachnet 1\nn 3\nkind lazy\n1 2 1/2\n")
     code, _, err = run(capsys, "analyze", "--mode", "edges", str(path))
     assert code == 2 and "plain" in err
+
+
+@pytest.mark.parametrize("mode", ["edges", "deficit"])
+def test_analyze_coloring_needs_two_positions(tmp_path, capsys, mode):
+    path = tmp_path / "n1.net"
+    path.write_text("reachnet 1\nn 1\nkind plain\n")
+    code, out, err = run(capsys, "analyze", "--mode", mode, str(path))
+    assert code == 2 and out == ""
+    assert "positions 1 and 2" in err and "Traceback" not in err
 
 
 def test_missing_input_file_exit_2(capsys):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,15 @@ def test_params_validation():
         RandomConstructionParams(t=3, n=10, seed=0, epsilon=Fraction(0))
     p = RandomConstructionParams(t=3, n=10, seed=0)
     assert 0 < p.epsilon < Fraction(1, 4)
+    assert RandomConstructionParams(t=3, n=30, seed=0, epsilon="1/5").epsilon == Fraction(1, 5)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.2, Decimal("0.1"), "0.1", "1e-1", "1/0"])
+def test_epsilon_must_be_exact(eps):
+    with pytest.raises(ValueError):
+        RandomConstructionParams(t=3, n=30, seed=0, epsilon=eps)
+    with pytest.raises(ValueError):
+        phase_count(30, eps)
 
 
 def test_check_expansion_rejects_shared_singleton():

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 
 import pytest
 from fractions import Fraction
@@ -13,6 +14,7 @@ from reachnet import (
     apply_transposition,
     encode_tuple,
     parse_network,
+    rational,
     render_network,
     start_tuple,
 )
@@ -64,6 +66,35 @@ def test_lazy_probability_range():
         LazyTransposition(1, 2, Fraction(3, 2))
     with pytest.raises(ValueError):
         LazyTransposition(1, 2, Fraction(-1, 2))
+    assert LazyTransposition(1, 2, "2/4").p == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "value,expected",
+    [(Fraction(2, 4), Fraction(1, 2)), (1, Fraction(1)), (0, Fraction(0)),
+     ("1/2", Fraction(1, 2)), ("0/7", Fraction(0)), ("06/10", Fraction(3, 5))],
+)
+def test_rational_accepts(value, expected):
+    got = rational(value)
+    assert got == expected and type(got) is Fraction
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.1, 0.5, 1.0, Decimal("0.5"), None, "0.5", "1e-1", "1", "1/0", "0/0", "-1/2",
+     "+1/2", "1/-2", " 1/5", "1/5 ", "1 /5", "1/2/3", "/2", "1/", "1_0/3", "²/3", "１/２"],
+)
+def test_rational_rejects(value):
+    with pytest.raises(ValueError):
+        rational(value)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, Decimal("0.5"), "0.5", "1e-1"])
+def test_lazy_probability_must_be_exact(p):
+    with pytest.raises(ValueError):
+        LazyTransposition(1, 2, p)
+    with pytest.raises(ValueError):
+        LazyNetwork.from_triples(2, [(1, 2, p)])
 
 
 def test_strip():
