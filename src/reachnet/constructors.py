@@ -9,12 +9,11 @@ permutation network of length sum(ceil(log2 i)), and the exactly
 Randomized family: a t-reachability network assembled from a random
 bipartite support graph whose left vertices each get two uniform right
 neighbors (phases); accepted supports satisfy Hall's matching condition at
-scale t, checked over the sets of at most t-1 phases.
+scale t, checked over the connected sets of at most t-1 phases.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -273,19 +272,53 @@ def sample_support(params: RandomConstructionParams, rng: random.Random) -> Bipa
 def check_expansion(g: BipartiteSupport, t: int) -> bool:
     """Hall's condition at scale t: every <= t left vertices are matchable.
 
-    Checked over sets W of at most t-1 right vertices (phases): Hall fails
-    exactly when some W holds more than |W| left vertices, a left vertex
-    being held by W when both its picks lie in W.  If a set S of at most t
-    left vertices has |N(S)| < |S|, then W = N(S) has at most t-1 phases
-    and holds all of S, more than |W| left vertices.  Conversely, any
-    |W|+1 left vertices held by such a W form a set S of at most t left
-    vertices with N(S) inside W, so |N(S)| <= |W| < |S|.  Singletons
-    always pass, each left vertex having a pick; the empty W holds none.
+    Phases are the nodes of a multigraph in which each left vertex is an
+    edge between its two picks, a loop when they coincide.  A phase set W
+    holds the left vertices whose picks both lie in W, and Hall fails
+    exactly when some W of at most t-1 phases holds more than |W|: if a
+    set S of at most t left vertices has |N(S)| < |S|, then W = N(S) has
+    at most t-1 phases and holds all of S; conversely any |W|+1 left
+    vertices held by such a W have all their picks in W, so |N(S)| <= |W|
+    < |S|.  The held count of W is the sum over its connected components
+    C of held(C), so a violator contains a connected violator with no more
+    phases.  Hence only connected W are checked: each is enumerated once
+    by ESU (Wernicke 2006), growing W from its smallest phase by phases
+    above it, and held(W + u) = held(W) + loops at u + edges between u
+    and W, failing as soon as held(W) > |W|.
     """
-    for s in range(1, t):
-        for w in itertools.combinations(range(1, g.num_phases + 1), s):
-            if sum(a in w and b in w for a, b in g.phases_of) > s:
-                return False
+    if t < 2:  # no nonempty W of at most t-1 phases; a single left vertex has a pick
+        return True
+    loops = [0] * (g.num_phases + 1)
+    edges: list[dict[int, int]] = [{} for _ in range(g.num_phases + 1)]
+    for p, q in g.phases_of:
+        if p == q:
+            loops[p] += 1
+        else:
+            edges[p][q] = edges[p].get(q, 0) + 1
+            edges[q][p] = edges[q].get(p, 0) + 1
+    nbrs = [sum(1 << q for q in e) for e in edges]  # bitmask per phase
+
+    def violated(size: int, held: int, members: int, seen: int, ext: int, above: int) -> bool:
+        # ESU: W = members, seen = W and its neighbors, ext the phases W may take next
+        if size == t - 1:
+            return False
+        while ext:
+            u = ext.bit_length() - 1
+            ext ^= 1 << u
+            grown = held + loops[u] + sum(c for w, c in edges[u].items() if members >> w & 1)
+            if grown > size + 1:
+                return True
+            fresh = nbrs[u] & ~seen & above
+            if violated(size + 1, grown, members | 1 << u, seen | nbrs[u], ext | fresh, above):
+                return True
+        return False
+
+    for v in range(1, g.num_phases + 1):
+        if loops[v] > 1:
+            return False
+        above = -1 << (v + 1)
+        if violated(1, loops[v], 1 << v, nbrs[v] | 1 << v, nbrs[v] & above, above):
+            return False
     return True
 
 

@@ -14,13 +14,17 @@ the array, and in both its flat order is lexicographic order:
 - ranked, one cell per injective tuple at its lexicographic
   (falling-factorial, Lehmer) rank.  The reached tuples are also kept as
   small integer columns (int8 up to n = 128) in the order found; a step
-  maps only those that hold a or b, and ranks their images.
+  maps only those that hold a or b, and ranks their images, CHUNK_ROWS
+  rows at a time.
 
 The dense layout is used when n^t <= 8 n!/(n-t)! and its n^t cells fit
 the budget, the ranked layout otherwise.  So the budget counts the cells
-allocated, and only n!/(n-t)! > budget raises BudgetExceededError.  At
-t = n the last entry of an injective tuple is the one value the others
-leave, so the closure runs at t = n-1, with the same counts and steps.
+allocated, and only n!/(n-t)! > budget raises BudgetExceededError.  A
+cell costs 1 byte dense and t+1 bytes ranked (the reached flag and the
+row), and the ranked layout adds temporaries that grow with CHUNK_ROWS,
+not with the cell count; the budget counts cells, not bytes.  At t = n
+the last entry of an injective tuple is the one value the others leave,
+so the closure runs at t = n-1, with the same counts and steps.
 
 Uniformity pushes an exact rational mass map through the lazy sequence.
 """
@@ -53,6 +57,10 @@ MISSING_SAMPLE_CAP = 10
 
 # the dense layout is used while n^t is at most this many times n!/(n-t)!
 DENSE_RATIO = 8
+
+# the ranked layout maps its reached rows, and scans for missing ranks, in
+# chunks of this many, so its temporaries do not grow with n!/(n-t)!
+CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -182,15 +190,20 @@ def _ranked_closure(net: Network, t: int) -> tuple[np.ndarray, int, int]:
             break
         steps += 1
         a, b = rows.dtype.type(tau.a - 1), rows.dtype.type(tau.b - 1)
-        held = rows[:, :count]
-        image = held.take(np.flatnonzero(((held == a) | (held == b)).any(axis=0)), axis=1)
-        image ^= ((image == a) | (image == b)) * (a ^ b)  # a <-> b
-        rank = _lehmer_rank(image, n)
-        new = ~reached[rank]
-        k = int(np.count_nonzero(new))
-        reached[rank[new]] = True
-        rows[:, count : count + k] = image[:, new]
-        count += k
+        # tau is a bijection, so no two rows share an image: each chunk
+        # adds its new images before the next chunk reads `reached`, and
+        # the rows appended here are not read again in this step
+        end = count
+        for lo in range(0, end, CHUNK_ROWS):
+            held = rows[:, lo : min(lo + CHUNK_ROWS, end)]
+            image = held.take(np.flatnonzero(((held == a) | (held == b)).any(axis=0)), axis=1)
+            image ^= ((image == a) | (image == b)) * (a ^ b)  # a <-> b
+            rank = _lehmer_rank(image, n)
+            new = ~reached[rank]
+            k = int(np.count_nonzero(new))
+            reached[rank[new]] = True
+            rows[:, count : count + k] = image[:, new]
+            count += k
     return reached, count, steps
 
 
@@ -216,6 +229,18 @@ def _dense_missing(reached: np.ndarray) -> np.ndarray:
     return np.array(found, dtype=np.int64).reshape(-1, reached.ndim)
 
 
+def _ranked_missing(reached: np.ndarray) -> np.ndarray:
+    """The first MISSING_SAMPLE_CAP unreached ranks, scanned CHUNK_ROWS at a time."""
+    found: list[np.ndarray] = []
+    left = MISSING_SAMPLE_CAP
+    for lo in range(0, len(reached), CHUNK_ROWS):
+        found.append(np.flatnonzero(~reached[lo : lo + CHUNK_ROWS])[:left] + lo)
+        left -= len(found[-1])
+        if not left:
+            break
+    return np.concatenate(found)
+
+
 def _tuples(reached: np.ndarray, n: int, t: int, missing: bool = False) -> np.ndarray:
     """Reached tuples, or the first MISSING_SAMPLE_CAP missing ones, in lex order.
 
@@ -223,8 +248,8 @@ def _tuples(reached: np.ndarray, n: int, t: int, missing: bool = False) -> np.nd
     A one-dimensional array is indexed by rank (dense t = 1 is too).
     """
     if reached.ndim == 1:
-        ranks = np.flatnonzero(~reached if missing else reached)
-        return _lehmer_unrank(ranks[:MISSING_SAMPLE_CAP] if missing else ranks, n, t)
+        ranks = _ranked_missing(reached) if missing else np.flatnonzero(reached)
+        return _lehmer_unrank(ranks, n, t)
     if missing:
         return _dense_missing(reached)
     return np.argwhere(reached)

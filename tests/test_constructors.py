@@ -242,6 +242,65 @@ def test_check_expansion_matches_left_side_oracle():
         assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def _dumbbell(t):
+    """t left vertices on phases 1..t-1: a path with a loop at each end."""
+    return [(1, 1)] + [(i, i + 1) for i in range(1, t - 1)] + [(t - 1, t - 1)]
+
+
+@pytest.mark.parametrize("t", range(3, 8))
+def test_check_expansion_dumbbell(t):
+    # the whole path holds t left vertices on t-1 phases; a shorter
+    # connected set is a sub-path, holding its edges and at most one loop
+    g = BipartiteSupport(t=t, n=2 * t, num_phases=t - 1, phases_of=tuple(_dumbbell(t)))
+    assert check_expansion(g, t - 1)
+    assert not check_expansion(g, t)
+
+
+@pytest.mark.parametrize("t", range(3, 8))
+def test_check_expansion_dumbbell_relabelled_and_padded(t):
+    # random labels put the dumbbell's smallest phase anywhere along it, so
+    # the check must grow it from there through larger phases only; a
+    # triangle and a path on other phases never hold more than their size
+    rng = random.Random(t)
+    L = 40
+    k = t - 1
+    pad = [(k + 1, k + 2), (k + 2, k + 3), (k + 3, k + 1), (k + 4, k + 5), (k + 5, k + 6)]
+    moved = 0
+    for _ in range(20):
+        label = [0] + rng.sample(range(1, L + 1), L)
+        pairs = [(label[p], label[q]) for p, q in _dumbbell(t) + pad]
+        rng.shuffle(pairs)
+        g = BipartiteSupport(t=t, n=t + len(pairs), num_phases=L, phases_of=tuple(pairs))
+        for s, want in ((t - 1, True), (t, False)):
+            assert check_expansion(g, s) is want
+            assert oracle_check_expansion(g, s) is want
+        moved += min(label[1:t]) != label[1]  # not grown in path order
+    assert moved > 0
+
+
+def test_check_expansion_matches_oracle_on_sparse_supports():
+    # up to 40 phases, with the picks drawn from a random window of them:
+    # most phase sets are disconnected, unlike the dense test above
+    rng = random.Random(4096)
+    for t in range(3, 7):
+        verdicts = set()
+        for _ in range(300):
+            L = rng.randint(t + 5, 40)
+            m = rng.randint(3, 14)
+            width = rng.randint(2, L)
+            lo = rng.randint(1, L - width + 1)
+            pairs = tuple(
+                (rng.randint(lo, lo + width - 1), rng.randint(lo, lo + width - 1))
+                for _ in range(m)
+            )
+            g = BipartiteSupport(t=t, n=t + m, num_phases=L, phases_of=pairs)
+            for s in range(2, t + 1):
+                got = check_expansion(g, s)
+                assert got == oracle_check_expansion(g, s), (t, s, g)
+                verdicts.add(got)
+        assert verdicts == {False, True}
+
+
 @pytest.mark.parametrize("t", [3, 4, 5])
 def test_t_reach_random_replays_with_oracle(t):
     # the sampler plus the left-side check picks the builder's support and retry count

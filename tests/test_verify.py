@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from reachnet import (
     waksman_permutation_network,
 )
 from reachnet import verify
+from reachnet.core import closure_arity
 
 from _oracles import naive_lazy_distribution, naive_reach_set, oracle_reach_set
 
@@ -283,3 +285,53 @@ def test_closure_layouts_match_set_oracle():
         verdicts.add(ok)
         arities.add(t - n)
     assert verdicts == {True, False} and {-1, 0} <= arities
+
+
+def _oracle_steps(net, t):
+    """steps_used by the set oracle: the first complete prefix, else the length."""
+    required = math.perm(net.n, t)
+    for k in range(len(net) + 1):
+        if len(oracle_reach_set(Network(net.n, net.seq[:k]), t)) == required:
+            return k
+    return len(net)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_ranked_closure_chunks_match_set_oracle(monkeypatch, chunk):
+    # tau is a bijection, so no two chunks of one step share an image:
+    # any chunk size gives the same closure and the same missing sample
+    monkeypatch.setattr(verify, "CHUNK_ROWS", chunk)
+    verdicts = set()
+    for net, t in _layout_cases()[::4]:
+        n = net.n
+        ref = oracle_reach_set(net, t)
+        missing = tuple(
+            x for x in itertools.permutations(range(1, n + 1), t) if x not in ref
+        )[: verify.MISSING_SAMPLE_CAP]
+        got = _layout_result(verify._ranked_closure, net, t)
+        assert got == (ref, len(ref), _oracle_steps(net, t), missing), (n, t, net.seq)
+        verdicts.add(not missing)
+    assert verdicts == {True, False}
+
+
+# chunk-sized temporaries of the ranked layout, whatever perm(n, t) is
+CHUNK_ALLOWANCE = 2 << 20
+
+
+@pytest.mark.parametrize("drop", [0, 1], ids=["ok", "fail"])
+def test_ranked_closure_memory_is_bytes_per_cell_plus_chunk(drop):
+    # Waksman t = n = 9 runs ranked at arity 8: one reached byte and one
+    # row byte per entry for each of the perm(9, 8) cells; dropping the last
+    # transposition takes the FAIL path and its missing-sample scan
+    n = 9
+    net = waksman_permutation_network(n)
+    net = Network(n, net.seq[: len(net) - drop])
+    arity = closure_arity(n, n)
+    tracemalloc.start()
+    try:
+        v = verify_reachability(net, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.ok == (not drop)
+    assert peak <= (arity + 1) * math.perm(n, arity) + CHUNK_ALLOWANCE
