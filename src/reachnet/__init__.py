@@ -39,8 +39,6 @@ from .core import (
     Network,
     Transposition,
     TupleSet,
-    apply_transposition,
-    encode_tuple,
     parse_network,
     rational,
     render_network,

@@ -152,32 +152,9 @@ class LazyNetwork(_Sequence):
 AnyNetwork = Union[Network, LazyNetwork]
 
 
-def apply_transposition(tau: _Pair, x: CounterTuple) -> CounterTuple:
-    """Image of a counter tuple under one transposition.
-
-    Every entry equal to one endpoint becomes the other; applying the same
-    transposition twice is the identity.
-    """
-    a, b = tau.a, tau.b
-    return tuple(b if e == a else a if e == b else e for e in x)
-
-
 def start_tuple(t: int) -> CounterTuple:
     """Initial arrangement: counter j on position j."""
     return tuple(range(1, t + 1))
-
-
-def encode_tuple(x: CounterTuple, n: int) -> int:
-    """Mixed-radix (base n, big-endian) encoding of a counter tuple.
-
-    The encoding is a bijection from [n]^t onto 0..n^t-1 that preserves
-    lexicographic order; the search uses the codes as bit positions of its
-    frontier masks.
-    """
-    code = 0
-    for e in x:
-        code = code * n + (e - 1)
-    return code
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Network, check_arity, closure_arity, encode_tuple, start_tuple
+from .core import CounterTuple, Network, check_arity, closure_arity, start_tuple
 from .errors import BudgetExceededError, CapExhaustedError
 
 
@@ -66,6 +66,19 @@ class SearchResult:
 # without storing more entries, so the cap bounds memory and never changes
 # an answer.
 _MEMO_CAP = 1 << 18
+
+
+def _encode_tuple(x: CounterTuple, n: int) -> int:
+    """Mixed-radix (base n, big-endian) code of a counter tuple.
+
+    The encoding is a bijection from [n]^t onto 0..n^t-1 that preserves
+    lexicographic order; the codes are the bit positions of frontier masks.
+    """
+    code = 0
+    for e in x:
+        code = code * n + (e - 1)
+    return code
+
 
 # (keep, ma, mb, shift) per coordinate, as built by _swap_masks.
 SwapMasks = tuple[tuple[int, int, int, int], ...]
@@ -115,7 +128,7 @@ class _Searcher:
         self.star_only = star_only
         self.budget = budget
         self.required = math.perm(n, t)
-        self.start = 1 << encode_tuple(start_tuple(t), n)
+        self.start = 1 << _encode_tuple(start_tuple(t), n)
         self.nodes = 0
         self.memo: dict[int, int] = {}
         self.move_lists: dict[int, list] = {}

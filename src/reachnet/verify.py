@@ -26,12 +26,21 @@ not with the cell count; the budget counts cells, not bytes.  At t = n
 the last entry of an injective tuple is the one value the others leave,
 so the closure runs at t = n-1, with the same counts and steps.
 
-Uniformity pushes an exact rational mass map through the lazy sequence.
+Uniformity pushes exact Fraction masses through the lazy sequence in the
+ranked layout, at the same arity: one mass per injective tuple (a numpy
+object array, every zero cell pointing at one shared zero), a table of
+every cell's row, and a flag per cell for nonzero mass.  A step (a b p)
+pairs each tuple x that holds a or b with tau(x) != x; the pairs are
+disjoint, and the other tuples are not touched.  For 0 < p < 1 each pair
+that holds mass gets m <- m + p (m o tau - m) on both its cells, p = 1
+swaps the two cells and p = 0 is skipped.  A uniformity cell costs an
+8-byte object pointer, t bytes of row and the 1-byte flag, plus one
+Fraction per nonzero cell, beside reach's 1 and t+1 bytes; its budget
+counts cells too.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,10 +53,8 @@ from .core import (
     LazyNetwork,
     Network,
     TupleSet,
-    apply_transposition,
     check_arity,
     closure_arity,
-    start_tuple,
 )
 from .errors import BudgetExceededError
 
@@ -175,6 +182,17 @@ def _lehmer_unrank(rank: np.ndarray, n: int, t: int) -> np.ndarray:
     return x
 
 
+def _swap_touched(
+    held: np.ndarray, a: np.integer, b: np.integer, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of `held` that hold a or b, their images under a <-> b,
+    and the Lehmer ranks of those images."""
+    cols = np.flatnonzero(((held == a) | (held == b)).any(axis=0))
+    image = held.take(cols, axis=1)
+    image ^= ((image == a) | (image == b)) * (a ^ b)
+    return cols, image, _lehmer_rank(image, n)
+
+
 def _ranked_closure(net: Network, t: int) -> tuple[np.ndarray, int, int]:
     """Closure over injective tuples by Lehmer rank; return (reached, count, steps)."""
     n = net.n
@@ -195,10 +213,7 @@ def _ranked_closure(net: Network, t: int) -> tuple[np.ndarray, int, int]:
         # the rows appended here are not read again in this step
         end = count
         for lo in range(0, end, CHUNK_ROWS):
-            held = rows[:, lo : min(lo + CHUNK_ROWS, end)]
-            image = held.take(np.flatnonzero(((held == a) | (held == b)).any(axis=0)), axis=1)
-            image ^= ((image == a) | (image == b)) * (a ^ b)  # a <-> b
-            rank = _lehmer_rank(image, n)
+            _, image, rank = _swap_touched(rows[:, lo : min(lo + CHUNK_ROWS, end)], a, b, n)
             new = ~reached[rank]
             k = int(np.count_nonzero(new))
             reached[rank[new]] = True
@@ -282,29 +297,72 @@ def verify_reachability(net: Network, t: int, budget: int = DEFAULT_BUDGET) -> R
     return ReachVerdict(ok, count, required, missing, steps)
 
 
+def _injective_rows(n: int, t: int) -> np.ndarray:
+    """Every injective tuple as small signed columns, in rank order."""
+    cells = math.perm(n, t)
+    rows = np.empty((t, cells), dtype=np.min_scalar_type(-n))
+    for lo in range(0, cells, CHUNK_ROWS):
+        rows[:, lo : lo + CHUNK_ROWS] = _lehmer_unrank(
+            np.arange(lo, min(lo + CHUNK_ROWS, cells)), n, t
+        ).T
+    return rows
+
+
+def _push_forward(
+    net: LazyNetwork, t: int, budget: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mass of every injective tuple by Lehmer rank; return (mass, live, rows).
+
+    live marks the cells of nonzero mass and rows holds each cell's tuple
+    (0-based, at the closure arity).
+    """
+    _required_tuples(net.n, t, budget)
+    n = net.n
+    rows = _injective_rows(n, closure_arity(n, t))
+    cells = rows.shape[1]
+    mass = np.full(cells, Fraction(0), dtype=object)
+    mass[0] = Fraction(1)  # rank of (1, ..., t)
+    live = np.zeros(cells, dtype=bool)
+    live[0] = True
+    for tau in net.seq:
+        p = tau.p
+        if p == 0:
+            continue
+        a, b = rows.dtype.type(tau.a - 1), rows.dtype.type(tau.b - 1)
+        for lo in range(0, cells, CHUNK_ROWS):
+            cols, _, rank = _swap_touched(rows[:, lo : lo + CHUNK_ROWS], a, b, n)
+            x = cols + lo
+            # every touched x pairs with tau(x) != x, and the pairs are
+            # disjoint: update each pair once, from its lower rank, and only
+            # if it holds mass (masses are never negative, so 0 < p < 1
+            # leaves a pair with mass nonzero on both cells)
+            pair = (x < rank) & (live[x] | live[rank])
+            x, y = x[pair], rank[pair]
+            if p == 1:
+                mass[x], mass[y] = mass[y], mass[x]
+                live[x], live[y] = live[y], live[x]
+            else:  # m <- m + p (m o tau - m), on both cells of the pair
+                flow = (mass[y] - mass[x]) * p
+                mass[x] += flow
+                mass[y] -= flow
+                live[x] = live[y] = True
+    return mass, live, rows
+
+
+def _cell_tuples(rows: np.ndarray, cells: np.ndarray, n: int, t: int) -> list[CounterTuple]:
+    """1-based tuples of arity t of the given cells of a rows table."""
+    return _as_counter_tuples(rows[:, cells].T.astype(np.int64), n, t)
+
+
 def tuple_distribution(net: LazyNetwork, t: int, budget: int = DEFAULT_BUDGET) -> Distribution:
     """Exact push-forward of the start tuple through the lazy sequence.
 
     Masses are Fractions and sum to exactly 1 after every prefix; tuples
     with zero mass are never stored.
     """
-    _required_tuples(net.n, t, budget)
-    zero = Fraction(0)
-    one = Fraction(1)
-    mass: Distribution = {start_tuple(t): one}
-    for tau in net.seq:
-        p = tau.p
-        if p == 0:
-            continue
-        stay = one - p
-        nxt: Distribution = {}
-        for x, m in mass.items():
-            y = apply_transposition(tau, x)
-            nxt[y] = nxt.get(y, zero) + p * m
-            if stay:
-                nxt[x] = nxt.get(x, zero) + stay * m
-        mass = nxt
-    return mass
+    mass, live, rows = _push_forward(net, t, budget)
+    cells = np.flatnonzero(live)
+    return dict(zip(_cell_tuples(rows, cells, net.n, t), mass[cells].tolist()))
 
 
 def verify_uniformity(
@@ -313,12 +371,11 @@ def verify_uniformity(
     """Decide whether every ordered tuple carries mass exactly (n-t)!/n!."""
     required = _required_tuples(net.n, t, budget)
     expected = Fraction(1, required)
-    mass = tuple_distribution(net, t, budget)
-    deviations = [
-        (x, mass.get(x, Fraction(0)))
-        for x in itertools.permutations(range(1, net.n + 1), t)
-        if mass.get(x, Fraction(0)) != expected
-    ]
-    # Mass on non-distinct tuples is impossible (transpositions preserve
-    # distinctness), so the check above is exhaustive.
-    return UniformityVerdict(not deviations, required, expected, tuple(deviations))
+    mass, live, rows = _push_forward(net, t, budget)
+    # every injective tuple has a cell, in lexicographic order, and the
+    # cells off the support deviate at mass 0
+    off = ~live
+    off[live] = mass[live] != expected
+    off = np.flatnonzero(off)
+    deviations = tuple(zip(_cell_tuples(rows, off, net.n, t), mass[off].tolist()))
+    return UniformityVerdict(not deviations, required, expected, deviations)

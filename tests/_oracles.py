@@ -4,8 +4,15 @@ These deliberately avoid the library's frontier closure and push-forward
 code: reachability is decided by enumerating all 2^l subsequences, or by
 the frontier closure over a plain Python set, and lazy distributions by
 enumerating all 2^l fire patterns with exact rational weights.  Keep
-them naive.  ``compose_subsequence`` is an independent route to
-``apply_transposition``: it tracks counters and positions, not tuples.
+them naive.  ``apply_transposition`` maps one counter tuple, and
+``compose_subsequence`` is an independent route to it: it tracks counters
+and positions, not tuples.
+
+``oracle_tuple_distribution`` is the push-forward that the ranked mass
+array replaced: a dict of exact Fraction masses over the support, where
+every step moves every supported tuple.  ``oracle_uniformity`` scans all
+injective tuples against such a dict in ``itertools.permutations``
+order.
 
 ``oracle_min_length`` is the search engine that the bitmask search with a
 failed-frontier memo replaced: frozenset frontiers over a per-transposition
@@ -29,15 +36,27 @@ from typing import Iterable
 from reachnet.constructors import BipartiteSupport
 from reachnet.core import (
     CounterTuple,
+    Distribution,
     LazyNetwork,
+    LazyTransposition,
     Network,
+    Transposition,
     TupleSet,
-    apply_transposition,
-    encode_tuple,
     start_tuple,
 )
 from reachnet.errors import BudgetExceededError, CapExhaustedError
 from reachnet.search import SearchResult, SearchSpec
+from reachnet.verify import UniformityVerdict
+
+
+def apply_transposition(tau: Transposition | LazyTransposition, x: CounterTuple) -> CounterTuple:
+    """Image of a counter tuple under one transposition.
+
+    Every entry equal to one endpoint becomes the other; applying the same
+    transposition twice is the identity.
+    """
+    a, b = tau.a, tau.b
+    return tuple(b if e == a else a if e == b else e for e in x)
 
 
 def naive_reach_set(net: Network, t: int) -> TupleSet:
@@ -109,6 +128,46 @@ def naive_lazy_distribution(net: LazyNetwork, t: int) -> dict[CounterTuple, Frac
     return acc
 
 
+def oracle_tuple_distribution(net: LazyNetwork, t: int) -> Distribution:
+    """Exact push-forward over a dict of the nonzero masses, step by step."""
+    zero = Fraction(0)
+    one = Fraction(1)
+    mass: Distribution = {start_tuple(t): one}
+    for tau in net.seq:
+        p = tau.p
+        if p == 0:
+            continue
+        stay = one - p
+        nxt: Distribution = {}
+        for x, m in mass.items():
+            y = apply_transposition(tau, x)
+            nxt[y] = nxt.get(y, zero) + p * m
+            if stay:
+                nxt[x] = nxt.get(x, zero) + stay * m
+        mass = nxt
+    return mass
+
+
+def oracle_uniformity(mass: Distribution, n: int, t: int) -> UniformityVerdict:
+    """Every injective tuple, in permutations order, against its dict mass."""
+    required = math.perm(n, t)
+    expected = Fraction(1, required)
+    deviations = tuple(
+        (x, mass.get(x, Fraction(0)))
+        for x in itertools.permutations(range(1, n + 1), t)
+        if mass.get(x, Fraction(0)) != expected
+    )
+    return UniformityVerdict(not deviations, required, expected, deviations)
+
+
+def _encode(x: CounterTuple, n: int) -> int:
+    """Base-n code of a counter tuple, as the search numbers its bits."""
+    code = 0
+    for e in x:
+        code = code * n + (e - 1)
+    return code
+
+
 def _apply_table(n: int, t: int, a: int, b: int) -> list[int]:
     """code -> code map of the transposition over the n^t code space."""
     size = n**t
@@ -174,7 +233,7 @@ class _FrozensetSearcher:
         return out
 
     def run(self, length: int) -> Network | None:
-        start = frozenset([encode_tuple(start_tuple(self.t), self.n)])
+        start = frozenset([_encode(start_tuple(self.t), self.n)])
         active = frozenset(range(1, self.t + 1))
         self.path = []
         if self._dfs(start, active, length):

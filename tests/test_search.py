@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from _oracles import oracle_min_length
@@ -191,3 +193,13 @@ def test_budget_error_leaves_a_sound_memo():
     searcher.budget = None
     assert searcher.run(5) is None
     assert searcher.run(6) == exists_network(5, 2, 6)
+
+
+def test_encoding_roundtrip_and_order():
+    for n, t in [(3, 2), (5, 3), (2, 1), (4, 4)]:
+        tuples = list(itertools.permutations(range(1, n + 1), t))
+        codes = [search._encode_tuple(x, n) for x in tuples]
+        assert codes == sorted(codes)  # lex order preserved
+        assert len(set(codes)) == len(codes)
+        every = itertools.product(range(1, n + 1), repeat=t)
+        assert sorted(search._encode_tuple(x, n) for x in every) == list(range(n**t))

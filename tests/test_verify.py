@@ -25,7 +25,13 @@ from reachnet import (
 from reachnet import verify
 from reachnet.core import closure_arity
 
-from _oracles import naive_lazy_distribution, naive_reach_set, oracle_reach_set
+from _oracles import (
+    naive_lazy_distribution,
+    naive_reach_set,
+    oracle_reach_set,
+    oracle_tuple_distribution,
+    oracle_uniformity,
+)
 
 
 def test_reach_set_examples():
@@ -162,6 +168,42 @@ def test_mass_conservation_every_prefix():
             assert sum(d.values()) == 1
 
 
+def _uniformity_cases():
+    """two_unif_star(2..40) at t = 2, and random lazy networks at every
+    1 <= t <= n <= 9 with p in {0, 1, k/8}; over 5000 tuples, L <= 10
+    keeps the dict oracle's support small."""
+    rng = random.Random(2718)
+    probs = [Fraction(k, 8) for k in range(9)]
+    cases = [(two_unif_star(n), 2) for n in range(2, 41)]
+    for n in range(1, 10):
+        for t in range(1, n + 1):
+            small = math.perm(n, t) <= 5000
+            for _ in range(4 if small else 1):
+                length = rng.randint(0, 30 if small else 10) if n > 1 else 0
+                triples = [(*rng.sample(range(1, n + 1), 2), rng.choice(probs)) for _ in range(length)]
+                cases.append((LazyNetwork.from_triples(n, triples), t))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [verify.CHUNK_ROWS, 7], ids=["chunk-default", "chunk-7"])
+def test_uniformity_matches_dict_oracle(monkeypatch, chunk):
+    # the ranked mass array gives the dict push-forward's distribution, and
+    # the verdict its permutations scan gives, deviations in the same order
+    # (a pair {x, tau x} may span two chunks)
+    cases = _uniformity_cases()
+    if chunk != verify.CHUNK_ROWS:
+        cases = [(net, t) for net, t in cases if math.perm(net.n, t) <= 120]
+    monkeypatch.setattr(verify, "CHUNK_ROWS", chunk)
+    verdicts = set()
+    for net, t in cases:
+        mass = oracle_tuple_distribution(net, t)
+        assert tuple_distribution(net, t) == mass, (t, net.seq)
+        v, ref = verify_uniformity(net, t), oracle_uniformity(mass, net.n, t)
+        assert v == ref and v.render() == ref.render(), (t, net.seq)
+        verdicts.add(v.ok)
+    assert verdicts == {True, False}
+
+
 def test_verify_uniformity_examples():
     v = verify_uniformity(two_unif_star(6), 2)
     assert v.ok and v.expected_mass == Fraction(1, 30)
@@ -219,6 +261,14 @@ def test_budget_and_arity_errors():
         verify_reachability(two_reach(9), 2, budget=71)
     with pytest.raises(BudgetExceededError):
         tuple_distribution(two_unif_star(9), 2, budget=10)
+    # uniformity holds one cell per injective tuple: perm(9, 2) = 72, and
+    # at t = n the perm(n, n-1) = n! cells of arity n-1
+    assert len(tuple_distribution(two_unif_star(9), 2, budget=72)) == 72
+    with pytest.raises(BudgetExceededError):
+        tuple_distribution(two_unif_star(9), 2, budget=71)
+    assert sum(tuple_distribution(two_unif_star(5), 5, budget=120).values()) == 1
+    with pytest.raises(BudgetExceededError):
+        tuple_distribution(two_unif_star(5), 5, budget=119)
     with pytest.raises(ValueError):
         verify_reachability(two_reach(4), 5)
     with pytest.raises(ValueError):
